@@ -1,5 +1,6 @@
 import os
 import sys
+import tempfile
 
 
 def _driver_mem() -> str:
@@ -49,6 +50,22 @@ os.environ.setdefault(
 
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
+
+
+@pytest.fixture(scope="session", autouse=True)
+def index_dir():
+    """Index blobs of this session go to a temporary directory that is
+    removed when the session ends (``REPRO_INDEX_DIR`` is restored)."""
+    saved = os.environ.get("REPRO_INDEX_DIR")
+    with tempfile.TemporaryDirectory(prefix="repro_indexes-") as d:
+        os.environ["REPRO_INDEX_DIR"] = d
+        try:
+            yield d
+        finally:
+            if saved is None:
+                del os.environ["REPRO_INDEX_DIR"]
+            else:
+                os.environ["REPRO_INDEX_DIR"] = saved
 
 
 @pytest.fixture(scope="session")

@@ -10,10 +10,10 @@ exactly the behaviour Table 4 shows.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.exact import exact_knn_arrays
+from repro.core.pmlsh import Result, query_matrix
 
 __all__ = ["LScan"]
 
@@ -29,12 +29,11 @@ class LScan:
         self.sample = vectors.sample(fraction=fraction, seed=seed).cache()
         self.n_sampled = self.sample.count()
 
-    def query_batch(self, Q: np.ndarray, k: int = 50
-                    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        Q2 = np.atleast_2d(np.asarray(Q))
+    def query_batch(self, Q: np.ndarray, k: int = 50) -> list[Result]:
+        Q = query_matrix(Q, k, self.n_sampled)
         # every sampled point's distance is computed for every query
-        self.last_probed = {i: self.n_sampled for i in range(len(Q2))}
+        self.last_probed = {i: self.n_sampled for i in range(len(Q))}
         return exact_knn_arrays(self.sample, Q, k)
 
-    def query(self, q: np.ndarray, k: int = 50) -> tuple[np.ndarray, np.ndarray]:
+    def query(self, q: np.ndarray, k: int = 50) -> Result:
         return self.query_batch(np.asarray(q)[None, :], k)[0]

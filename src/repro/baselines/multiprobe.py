@@ -13,9 +13,9 @@ estimation is bucket-to-bucket, so for the same number of probed points
 it ranks candidates worse than PM-LSH's point-to-point estimator —
 Table 4 shows that as lower recall, which this implementation preserves.
 
-The bucket width ``w`` must match the data's distance scale; it defaults
-to a low percentile of the pairwise distance distribution (the original
-tunes w per dataset the same way).
+The bucket width ``w`` must match the data's distance scale; it is the
+median of the pairwise distance distribution (the original tunes w per
+dataset the same way).
 """
 from __future__ import annotations
 
@@ -27,12 +27,19 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.partindex import PartitionedIndex
-from repro.core.partitioner import assign_partitions, kmeans
-from repro.core.pmlsh import CAND_SCHEMA
+from repro.core.pmlsh import (
+    CAND_SCHEMA,
+    Result,
+    _topk,
+    _verified,
+    build_preamble,
+    query_matrix,
+)
 from repro.core.projection import GaussianProjection
-from repro.costmodel import DistanceDistribution
 
 __all__ = ["MultiProbe", "probe_sequence"]
+
+W_QUANTILE = 0.5  # bucket width w = this quantile of the distance distribution
 
 
 def probe_sequence(f: np.ndarray, w: float, n_probe: int) -> list[tuple[int, ...]]:
@@ -102,34 +109,21 @@ class MultiProbe:
 
     @classmethod
     def build(cls, spark: SparkSession, vectors: DataFrame, *, L: int = 4,
-              m_mp: int = 8, n_probe: int = 128, w: float | None = None,
-              w_quantile: float = 0.5, n_partitions: int = 8, seed: int = 0,
-              sample_size: int = 4096) -> "MultiProbe":
-        first = vectors.select("vec").first()
-        if first is None:
-            raise ValueError("cannot build an index over an empty DataFrame")
-        d = len(first["vec"])
-        n = vectors.count()
+              m_mp: int = 8, n_probe: int = 128, n_partitions: int = 8,
+              seed: int = 0, sample_size: int = 4096) -> "MultiProbe":
         # partitioning reuses a cheap projection just to cluster the data
-        part_proj = GaussianProjection(d, 8, seed=seed + 77)
-        projected = part_proj.transform(vectors)
-        frac = min(1.0, (3.0 * sample_size) / max(n, 1))
-        sample_rows = projected.sample(fraction=frac, seed=seed).limit(sample_size).collect()
-        S_proj = np.stack([np.asarray(r["proj"]) for r in sample_rows])
-        S_orig = np.stack([np.asarray(r["vec"]) for r in sample_rows])
-        centers = kmeans(S_proj, n_partitions, seed=seed)
-        if w is None:
-            F = DistanceDistribution(S_orig, n_pairs=min(200_000, 40 * len(S_orig)),
-                                     seed=seed)
-            w = max(F.quantile(w_quantile), 1e-6)
+        pre = build_preamble(
+            vectors, lambda d, n: GaussianProjection(d, 8, seed=seed + 77),
+            n_partitions=n_partitions, seed=seed, sample_size=sample_size,
+            with_F=True)
+        w = max(pre.F.quantile(W_QUANTILE), 1e-6)
         projections = [
-            GaussianProjection(d, m_mp, seed=seed + 1000 + t, w=w) for t in range(L)
+            GaussianProjection(pre.proj.d, m_mp, seed=seed + 1000 + t, w=w)
+            for t in range(L)
         ]
-        assigned = assign_partitions(projected, centers)
 
-        def _build(pdf: pd.DataFrame) -> tuple[dict, dict]:
-            X = np.stack(pdf["vec"].to_numpy())
-            ids = pdf["id"].to_numpy(dtype=np.int64)
+        def _build(ids: np.ndarray, P: np.ndarray, X: np.ndarray
+                   ) -> tuple[dict, dict]:
             tables = []
             for proj_t in projections:
                 B = proj_t.buckets(X)          # (n_i, m_mp) int64
@@ -141,18 +135,15 @@ class MultiProbe:
                 for kk, rows in by_key.items():
                     table[kk] = np.asarray(rows, dtype=np.int64)
                 tables.append(table)
-            return {"tables": tables, "X": X, "ids": ids}, {"count": len(ids)}
+            return {"tables": tables, "X": X, "ids": ids}, {}
 
-        index = PartitionedIndex.build(spark, assigned, _build, name="multiprobe")
-        return cls(spark=spark, projections=projections, index=index, n=n,
+        index = PartitionedIndex.build(spark, pre.assigned, _build, name="multiprobe")
+        return cls(spark=spark, projections=projections, index=index, n=pre.n,
                    w=w, n_probe=n_probe)
 
     # ------------------------------------------------------------------
-    def query_batch(self, Q: np.ndarray, k: int = 50
-                    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        Q = np.asarray(Q, dtype=np.float64)
-        if Q.ndim == 1:
-            Q = Q[None, :]
+    def query_batch(self, Q: np.ndarray, k: int = 50) -> list[Result]:
+        Q = query_matrix(Q, k, self.n)
         # driver-side probing sequences: tiny (L * n_probe buckets per query)
         plans: dict[int, list[list[tuple[int, ...]]]] = {}
         for qi, q in enumerate(Q):
@@ -177,21 +168,9 @@ class MultiProbe:
                 if not rows_acc:
                     continue
                 rows = np.unique(np.concatenate(rows_acc))
-                diff = X[rows] - QV[qi][None, :]
-                dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                out.append(
-                    pd.DataFrame(
-                        {
-                            "qid": np.full(len(rows), qi, dtype=np.int64),
-                            "id": ids[rows],
-                            "pdist": np.zeros(len(rows)),
-                            "dist": dist,
-                        }
-                    )
-                )
-            if not out:
-                return None
-            return pd.concat(out, ignore_index=True)
+                out.append(_verified(qi, ids[rows], np.zeros(len(rows)), X[rows],
+                                     QV[qi]))
+            return pd.concat(out, ignore_index=True) if out else None
 
         got = self.index.probe(_probe, schema=CAND_SCHEMA).toPandas()
         results = []
@@ -199,11 +178,9 @@ class MultiProbe:
         for qi in range(len(Q)):
             grp = got[got["qid"] == qi]
             ids = grp["id"].to_numpy(dtype=np.int64)
-            dist = grp["dist"].to_numpy()
-            order = np.argsort(dist, kind="stable")[:k]
             self.last_probed[qi] = len(ids)
-            results.append((ids[order], dist[order]))
+            results.append(_topk(ids, grp["dist"].to_numpy(), k))
         return results
 
-    def query(self, q: np.ndarray, k: int = 50) -> tuple[np.ndarray, np.ndarray]:
+    def query(self, q: np.ndarray, k: int = 50) -> Result:
         return self.query_batch(np.asarray(q)[None, :], k)[0]

@@ -8,8 +8,9 @@ it collides (falls in the window) in at least ``l = ceil(alpha * m_q)``
 projections; candidates are verified with true distances. Termination:
 k candidates within ``c*r``, or ``beta_q * n + k`` candidates verified.
 
-Parameters follow the QALSH paper: bucket width ``w = 2.719``, error
-probability ``delta = 1/e``, false-positive budget ``beta_q = 100/n``;
+Parameters follow the QALSH paper and are fixed: bucket width
+``w = 2.719``, error probability ``delta = 1/e``, false-positive budget
+``beta_q = 100/n``, at most 200 hash functions;
 ``m_q`` and ``alpha`` derived from ``(p1, p2) = (p(1), p(c))`` where
 ``p(r) = 2*Phi(w/(2r)) - 1`` — QALSH needs O(n log n)-ish many more hash
 functions than PM-LSH's 15, which is exactly the space/time critique the
@@ -17,9 +18,10 @@ paper levels at it.
 
 Adaptation: the original assumes distances start at r=1 (integer data);
 here ``r0`` comes from the dataset's distance distribution (smallest
-percentile), which preserves the geometric radius schedule. The B+-trees
-are per-partition sorted column arrays probed with ``searchsorted``
-(same O(log n + window) asymptotics, vectorized).
+percentile), which preserves the geometric radius schedule; the rounds
+run in PM-LSH's loop (``repro.core.pmlsh.enlarge_radius``), capped at 48.
+The B+-trees are per-partition sorted column arrays probed with
+``searchsorted`` (same O(log n + window) asymptotics, vectorized).
 """
 from __future__ import annotations
 
@@ -31,19 +33,28 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.partindex import PartitionedIndex
-from repro.core.partitioner import assign_partitions, kmeans
-from repro.core.pmlsh import CAND_SCHEMA
+from repro.core.pmlsh import (
+    CAND_SCHEMA,
+    Result,
+    _verified,
+    build_preamble,
+    enlarge_radius,
+    query_matrix,
+)
 from repro.core.projection import GaussianProjection
 from repro.costmodel import DistanceDistribution
 
 __all__ = ["QALSH", "qalsh_params"]
+
+W = 2.719        # bucket width
+MAX_ROUNDS = 48  # radius rounds before the best-effort answer
 
 
 def _phi(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def qalsh_params(n: int, c: float, *, w: float = 2.719,
+def qalsh_params(n: int, c: float, *, w: float = W,
                  delta: float = 1.0 / math.e, beta_q: float | None = None,
                  m_cap: int = 200) -> tuple[int, int, float]:
     """(m_q, l, beta_q) per the QALSH formulas (capped for practicality)."""
@@ -68,49 +79,30 @@ class QALSH:
     F: DistanceDistribution
     n: int
     c: float
-    w: float
     m_q: int
     l: int
     beta_q: float
 
     @classmethod
     def build(cls, spark: SparkSession, vectors: DataFrame, *, c: float = 1.5,
-              w: float = 2.719, delta: float = 1.0 / math.e,
-              beta_q: float | None = None, n_partitions: int = 8,
-              seed: int = 0, sample_size: int = 4096, m_cap: int = 200
+              n_partitions: int = 8, seed: int = 0, sample_size: int = 4096
               ) -> "QALSH":
-        first = vectors.select("vec").first()
-        if first is None:
-            raise ValueError("cannot build an index over an empty DataFrame")
-        d = len(first["vec"])
-        n = vectors.count()
-        m_q, l, beta_q = qalsh_params(n, c, w=w, delta=delta, beta_q=beta_q,
-                                      m_cap=m_cap)
-        proj = GaussianProjection(d, m_q, seed=seed + 31)
-        projected = proj.transform(vectors)
-        frac = min(1.0, (3.0 * sample_size) / max(n, 1))
-        sample_rows = projected.sample(fraction=frac, seed=seed).limit(sample_size).collect()
-        S_proj = np.stack([np.asarray(r["proj"]) for r in sample_rows])
-        S_orig = np.stack([np.asarray(r["vec"]) for r in sample_rows])
-        centers = kmeans(S_proj, n_partitions, seed=seed)
-        F = DistanceDistribution(S_orig, n_pairs=min(200_000, 40 * len(S_orig)),
-                                 seed=seed)
-        assigned = assign_partitions(projected, centers)
+        pre = build_preamble(
+            vectors,
+            lambda d, n: GaussianProjection(d, qalsh_params(n, c)[0], seed=seed + 31),
+            n_partitions=n_partitions, seed=seed, sample_size=sample_size,
+            with_F=True)
+        m_q, l, beta_q = qalsh_params(pre.n, c)
 
-        def _build(pdf: pd.DataFrame) -> tuple[dict, dict]:
-            H = np.stack(pdf["proj"].to_numpy())          # (n_i, m_q)
-            X = np.stack(pdf["vec"].to_numpy())
-            ids = pdf["id"].to_numpy(dtype=np.int64)
+        def _build(ids: np.ndarray, H: np.ndarray, X: np.ndarray
+                   ) -> tuple[dict, dict]:
             order = np.argsort(H, axis=0, kind="stable")  # per-column B+-tree
             sorted_h = np.take_along_axis(H, order, axis=0)
-            return (
-                {"H": H, "sorted_h": sorted_h, "order": order, "X": X, "ids": ids},
-                {"count": len(ids)},
-            )
+            return {"H": H, "sorted_h": sorted_h, "order": order, "X": X, "ids": ids}, {}
 
-        index = PartitionedIndex.build(spark, assigned, _build, name="qalsh")
-        return cls(spark=spark, proj=proj, index=index, F=F, n=n, c=c, w=w,
-                   m_q=m_q, l=l, beta_q=beta_q)
+        index = PartitionedIndex.build(spark, pre.assigned, _build, name="qalsh")
+        return cls(spark=spark, proj=pre.proj, index=index, F=pre.F, n=pre.n,
+                   c=c, m_q=m_q, l=l, beta_q=beta_q)
 
     # ------------------------------------------------------------------
     def r0(self) -> float:
@@ -118,25 +110,15 @@ class QALSH:
         r = self.F.quantile(0.001)
         return max(r, 1e-6)
 
-    def query_batch(self, Q: np.ndarray, k: int = 50, *, max_rounds: int = 48
-                    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        Q = np.asarray(Q, dtype=np.float64)
-        if Q.ndim == 1:
-            Q = Q[None, :]
+    def query_batch(self, Q: np.ndarray, k: int = 50) -> list[Result]:
+        Q = query_matrix(Q, k, self.n)
         QH = self.proj.project(Q)                     # (nq, m_q)
-        budget = self.beta_q * self.n + k
-        r = {i: self.r0() for i in range(len(Q))}
-        cand: dict[int, dict[int, float]] = {i: {} for i in range(len(Q))}
-        active = set(range(len(Q)))
-        results: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        l_loc, w_loc, QV = self.l, self.w, Q
+        l_loc, QV = self.l, Q
 
-        for _ in range(max_rounds):
-            if not active:
-                break
-            radii = {i: r[i] for i in active}
-            seen_ids = {i: np.fromiter(cand[i].keys(), dtype=np.int64,
-                                       count=len(cand[i])) for i in active}
+        def probe(radii: dict[int, float], cand: dict[int, dict]) -> pd.DataFrame:
+            """One virtual-rehashing round; ids already verified are skipped."""
+            seen_ids = {i: np.fromiter(cand[i], dtype=np.int64, count=len(cand[i]))
+                        for i in radii}
 
             def _probe(blob: dict, summary: dict, pid: int) -> pd.DataFrame | None:
                 sorted_h, order = blob["sorted_h"], blob["order"]
@@ -144,7 +126,7 @@ class QALSH:
                 n_i = len(ids)
                 out = []
                 for qi, rr in radii.items():
-                    half = w_loc * rr / 2.0
+                    half = W * rr / 2.0
                     counts = np.zeros(n_i, dtype=np.int32)
                     for j in range(sorted_h.shape[1]):
                         loq = QH[qi, j] - half
@@ -156,52 +138,18 @@ class QALSH:
                     hit = np.where(counts >= l_loc)[0]
                     if len(hit) == 0:
                         continue
-                    mask = ~np.isin(ids[hit], seen_ids[qi])
-                    hit = hit[mask]
-                    if len(hit) == 0:
-                        continue
-                    diff = X[hit] - QV[qi][None, :]
-                    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                    out.append(
-                        pd.DataFrame(
-                            {
-                                "qid": np.full(len(hit), qi, dtype=np.int64),
-                                "id": ids[hit],
-                                "pdist": np.zeros(len(hit)),
-                                "dist": dist,
-                            }
-                        )
-                    )
-                if not out:
-                    return None
-                return pd.concat(out, ignore_index=True)
+                    hit = hit[~np.isin(ids[hit], seen_ids[qi])]
+                    if len(hit):
+                        out.append(_verified(qi, ids[hit], np.zeros(len(hit)),
+                                             X[hit], QV[qi]))
+                return pd.concat(out, ignore_index=True) if out else None
 
-            got = self.index.probe(_probe, schema=CAND_SCHEMA).toPandas()
-            for qid, grp in got.groupby("qid"):
-                cand[int(qid)].update(
-                    dict(zip(grp["id"].astype(int), grp["dist"].astype(float)))
-                )
-            done = set()
-            for i in active:
-                C = cand[i]
-                close = sum(1 for dd in C.values() if dd <= self.c * r[i])
-                if (len(C) >= k and close >= k) or len(C) >= budget or len(C) >= self.n:
-                    ids_arr = np.fromiter(C.keys(), dtype=np.int64, count=len(C))
-                    dists = np.fromiter(C.values(), dtype=np.float64, count=len(C))
-                    order_ = np.argsort(dists, kind="stable")[:k]
-                    results[i] = (ids_arr[order_], dists[order_])
-                    done.add(i)
-                else:
-                    r[i] *= self.c
-            active -= done
-        for i in active:
-            C = cand[i]
-            ids_arr = np.fromiter(C.keys(), dtype=np.int64, count=len(C))
-            dists = np.fromiter(C.values(), dtype=np.float64, count=len(C))
-            order_ = np.argsort(dists, kind="stable")[:k]
-            results[i] = (ids_arr[order_], dists[order_])
-        self.last_probed = {i: len(cand[i]) for i in range(len(Q))}
-        return [results[i] for i in range(len(Q))]
+            return self.index.probe(_probe, schema=CAND_SCHEMA).toPandas()
 
-    def query(self, q: np.ndarray, k: int = 50, **kw) -> tuple[np.ndarray, np.ndarray]:
-        return self.query_batch(np.asarray(q)[None, :], k, **kw)[0]
+        results, self.last_probed = enlarge_radius(
+            len(Q), k, r0=self.r0(), c=self.c, probe=probe,
+            budget=min(self.beta_q * self.n + k, self.n), max_rounds=MAX_ROUNDS)
+        return results
+
+    def query(self, q: np.ndarray, k: int = 50) -> Result:
+        return self.query_batch(np.asarray(q)[None, :], k)[0]

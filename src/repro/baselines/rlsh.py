@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.rtree import RTree
-from repro.core.pmlsh import PMLSH
+from repro.core.pmlsh import NODE_CAPACITY, PMLSH
 
 __all__ = ["RLSH"]
 
@@ -21,5 +21,5 @@ class RLSH(PMLSH):
     _index_name = "rlsh"
 
     @staticmethod
-    def _tree_factory(*, capacity: int, pivots: np.ndarray, seed: int):
-        return lambda P: RTree(P, capacity=capacity)
+    def _tree_factory(*, pivots: np.ndarray, seed: int):
+        return lambda P: RTree(P, capacity=NODE_CAPACITY)

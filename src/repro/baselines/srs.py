@@ -31,12 +31,20 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.partindex import PartitionedIndex
-from repro.core.partitioner import assign_partitions, kmeans
-from repro.core.pmlsh import CAND_SCHEMA
+from repro.core.pmlsh import (
+    CAND_SCHEMA,
+    Result,
+    _topk,
+    _verified,
+    build_preamble,
+    query_matrix,
+)
 from repro.core.projection import GaussianProjection
 from repro.numerics.chi2 import chi2_cdf
 
 __all__ = ["SRS"]
+
+CHUNK = 64  # stream points examined between early-termination tests
 
 
 @dataclass
@@ -59,35 +67,19 @@ class SRS:
               c: float = 1.5, T: float = 0.4010, p_tau: float = 0.8107,
               n_partitions: int = 8, seed: int = 0,
               sample_size: int = 4096, early_stop: bool = True) -> "SRS":
-        first = vectors.select("vec").first()
-        if first is None:
-            raise ValueError("cannot build an index over an empty DataFrame")
-        d = len(first["vec"])
-        proj = GaussianProjection(d, m, seed=seed)
-        projected = proj.transform(vectors)
-        n = vectors.count()
-        frac = min(1.0, (3.0 * sample_size) / max(n, 1))
-        sample_rows = projected.sample(fraction=frac, seed=seed).limit(sample_size).collect()
-        S_proj = np.stack([np.asarray(r["proj"]) for r in sample_rows])
-        centers = kmeans(S_proj, n_partitions, seed=seed)
-        assigned = assign_partitions(projected, centers)
-
-        def _build(pdf: pd.DataFrame) -> tuple[dict, dict]:
-            P = np.stack(pdf["proj"].to_numpy())
-            X = np.stack(pdf["vec"].to_numpy())
-            ids = pdf["id"].to_numpy(dtype=np.int64)
-            return {"P": P, "X": X, "ids": ids}, {"count": len(ids)}
-
-        index = PartitionedIndex.build(spark, assigned, _build, name="srs")
-        return cls(spark=spark, proj=proj, index=index, n=n, c=c, T=T,
+        pre = build_preamble(
+            vectors, lambda d, n: GaussianProjection(d, m, seed=seed),
+            n_partitions=n_partitions, seed=seed, sample_size=sample_size,
+            with_F=False)
+        index = PartitionedIndex.build(
+            spark, pre.assigned,
+            lambda ids, P, X: ({"P": P, "X": X, "ids": ids}, {}), name="srs")
+        return cls(spark=spark, proj=pre.proj, index=index, n=pre.n, c=c, T=T,
                    p_tau=p_tau, m=m, early_stop=early_stop)
 
     # ------------------------------------------------------------------
-    def query_batch(self, Q: np.ndarray, k: int = 50
-                    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        Q = np.asarray(Q, dtype=np.float64)
-        if Q.ndim == 1:
-            Q = Q[None, :]
+    def query_batch(self, Q: np.ndarray, k: int = 50) -> list[Result]:
+        Q = query_matrix(Q, k, self.n)
         QP = self.proj.project(Q)
         budget_total = int(np.ceil(self.T * self.n)) + k
         QP_loc, QV_loc, n_total = QP, Q, self.n
@@ -105,18 +97,7 @@ class SRS:
                 rho = P - QP_loc[qi][None, :]
                 pdist = np.sqrt(np.einsum("ij,ij->i", rho, rho))
                 sel = np.argsort(pdist, kind="stable")[:take]
-                diff = X[sel] - QV_loc[qi][None, :]
-                dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                out.append(
-                    pd.DataFrame(
-                        {
-                            "qid": np.full(len(sel), qi, dtype=np.int64),
-                            "id": ids[sel],
-                            "pdist": pdist[sel],
-                            "dist": dist,
-                        }
-                    )
-                )
+                out.append(_verified(qi, ids[sel], pdist[sel], X[sel], QV_loc[qi]))
             return pd.concat(out, ignore_index=True)
 
         got = self.index.probe(_probe, schema=CAND_SCHEMA).toPandas()
@@ -129,17 +110,14 @@ class SRS:
             dist = grp["dist"].to_numpy()
             stop = self._incremental_stop(pdist, dist, k, budget_total)
             self.last_probed[qi] = stop
-            sel_d = dist[:stop]
-            sel_i = ids[:stop]
-            order = np.argsort(sel_d, kind="stable")[:k]
-            results.append((sel_i[order], sel_d[order]))
+            results.append(_topk(ids[:stop], dist[:stop], k))
         return results
 
-    def query(self, q: np.ndarray, k: int = 50) -> tuple[np.ndarray, np.ndarray]:
+    def query(self, q: np.ndarray, k: int = 50) -> Result:
         return self.query_batch(np.asarray(q)[None, :], k)[0]
 
     def _incremental_stop(self, pdist: np.ndarray, dist: np.ndarray, k: int,
-                          budget: int, chunk: int = 64) -> int:
+                          budget: int) -> int:
         """Replay the incremental scan; return how many points get examined.
 
         Processes the projected-distance-ordered stream in small chunks
@@ -151,7 +129,7 @@ class SRS:
             return n
         examined = 0
         while examined < n:
-            upto = min(n, examined + chunk)
+            upto = min(n, examined + CHUNK)
             examined = upto
             if examined >= k:
                 d_k = float(np.partition(dist[:examined], k - 1)[k - 1])

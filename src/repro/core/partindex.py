@@ -27,6 +27,7 @@ import uuid
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import (
@@ -84,22 +85,28 @@ class PartitionedIndex:
         cls,
         spark: SparkSession,
         assigned: DataFrame,
-        build_fn: Callable[[pd.DataFrame], tuple[dict, dict]],
+        build_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[dict, dict]],
         *,
         name: str,
     ) -> "PartitionedIndex":
-        """Group ``assigned`` (must carry ``pid``) and build one blob per pid.
+        """Group ``assigned`` (``ASSIGNED_SCHEMA``: id, vec, proj, pid) and
+        build one blob per pid.
 
-        ``build_fn(pdf) -> (blob, summary)``: blob is pickled to disk,
-        summary must be a small picklable dict (it is collected to the
-        driver and also handed to probe functions).
+        ``build_fn(ids, P, X) -> (blob, summary)`` gets one partition's ids,
+        projected points and original vectors as arrays. The blob is
+        pickled to disk; the summary must be a small picklable dict (it is
+        collected to the driver and also handed to probe functions), to
+        which the partition's point ``count`` is added.
         """
         index_dir = os.path.join(default_index_root(), f"{name}-{uuid.uuid4().hex[:12]}")
         os.makedirs(index_dir, exist_ok=True)
 
         def _build(key, pdf):  # untyped: lets Spark infer the grouped-map eval type
             pid = int(key[0])
-            blob, summary = build_fn(pdf)
+            ids = pdf["id"].to_numpy(dtype=np.int64)
+            blob, summary = build_fn(ids, np.stack(pdf["proj"].to_numpy()),
+                                     np.stack(pdf["vec"].to_numpy()))
+            summary["count"] = len(ids)
             path = os.path.join(index_dir, f"part-{pid}.pkl")
             with open(path, "wb") as f:
                 pickle.dump(blob, f, protocol=pickle.HIGHEST_PROTOCOL)
@@ -107,7 +114,7 @@ class PartitionedIndex:
                 {
                     "pid": [pid],
                     "path": [path],
-                    "count": [len(pdf)],
+                    "count": [len(ids)],
                     "summary": [pickle.dumps(summary)],
                 }
             )

@@ -22,11 +22,22 @@ Query:
 - Queries are processed in *batches*: one Spark pass per radius round
   serves every still-active query, so the driver loop runs O(1) rounds,
   not O(rounds * queries).
+
+Shared by every distributed index in the repo (the baselines import them
+from here):
+
+- :func:`build_preamble` — empty check, count, projection, seeded sample,
+  k-means partitioning and, where needed, F(x);
+- :func:`enlarge_radius` — Algorithm 2's radius-enlarging loop, also
+  QALSH's virtual rehashing;
+- :func:`query_matrix` — query-batch validation on the driver;
+- :func:`_topk` — the final ranking, by ``(dist, id)``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -45,7 +56,8 @@ from repro.core.pmtree import PMTree, select_pivots
 from repro.core.projection import GaussianProjection
 from repro.costmodel import DistanceDistribution
 
-__all__ = ["PMLSH", "CAND_SCHEMA"]
+__all__ = ["PMLSH", "CAND_SCHEMA", "build_preamble", "query_matrix",
+           "enlarge_radius"]
 
 CAND_SCHEMA = StructType(
     [
@@ -56,7 +68,124 @@ CAND_SCHEMA = StructType(
     ]
 )
 
+NODE_CAPACITY = 16       # PM-tree node capacity
+ALPHA1 = 1.0 / math.e    # Eq. 10's true-positive error, as in the paper
+R_MIN_SHRINK = 0.9       # r_min is shrunk slightly below F's quantile
 
+Result = tuple[np.ndarray, np.ndarray]
+
+
+# ---- shared by every index -------------------------------------------------
+class Preamble(NamedTuple):
+    n: int
+    proj: GaussianProjection      # the projection ``assigned`` carries
+    sample: np.ndarray            # seeded sample of projected points
+    F: DistanceDistribution | None
+    assigned: DataFrame           # projected points with their ``pid``
+
+
+def build_preamble(vectors: DataFrame,
+                   make_proj: Callable[[int, int], GaussianProjection], *,
+                   n_partitions: int, seed: int, sample_size: int,
+                   with_F: bool) -> Preamble:
+    """Everything an index build does before its per-partition structure.
+
+    ``make_proj(d, n)`` gives the projection that is both indexed and
+    clustered. A seeded driver-side sample of at most ``sample_size``
+    points feeds k-means and, if ``with_F``, the distance distribution.
+    """
+    first = vectors.select("vec").first()
+    if first is None:
+        raise ValueError("cannot build an index over an empty DataFrame")
+    n = vectors.count()
+    proj = make_proj(len(first["vec"]), n)
+    projected = proj.transform(vectors)
+    frac = min(1.0, (3.0 * sample_size) / n)
+    rows = projected.sample(fraction=frac, seed=seed).limit(sample_size).collect()
+    S_proj = np.stack([np.asarray(r["proj"]) for r in rows])
+    F = None
+    if with_F:
+        S_orig = np.stack([np.asarray(r["vec"]) for r in rows])
+        F = DistanceDistribution(S_orig, n_pairs=min(200_000, 40 * len(S_orig)),
+                                 seed=seed)
+    centers = kmeans(S_proj, n_partitions, seed=seed)
+    return Preamble(n, proj, S_proj, F, assign_partitions(projected, centers))
+
+
+def query_matrix(Q: np.ndarray, k: int, n: int) -> np.ndarray:
+    """``Q`` as a 2-D float array; rejects non-finite values and k outside [1, n]."""
+    Q = np.asarray(Q, dtype=np.float64)
+    if Q.ndim == 1:
+        Q = Q[None, :]
+    if not np.all(np.isfinite(Q)):
+        raise ValueError("queries must be finite (found NaN or inf)")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    return Q
+
+
+def _verified(qid: int, ids: np.ndarray, pdist: np.ndarray, X: np.ndarray,
+              q: np.ndarray) -> pd.DataFrame:
+    """``CAND_SCHEMA`` rows for one query's candidates ``X``, with their true
+    distances to ``q`` (the paper's "point probing")."""
+    diff = X - q[None, :]
+    return pd.DataFrame(
+        {
+            "qid": np.full(len(ids), qid, dtype=np.int64),
+            "id": ids,
+            "pdist": pdist,
+            "dist": np.sqrt(np.einsum("ij,ij->i", diff, diff)),
+        }
+    )
+
+
+def _topk(ids: np.ndarray, dists: np.ndarray, k: int) -> Result:
+    """The k smallest distances, ties broken by ascending id."""
+    order = np.lexsort((ids, dists))[:k]
+    return ids[order], dists[order]
+
+
+def enlarge_radius(nq: int, k: int, *, r0: float, c: float,
+                   probe: Callable[[dict, dict], pd.DataFrame], budget: float,
+                   max_rounds: int) -> tuple[list[Result], dict[int, int]]:
+    """Algorithm 2's loop for a batch of ``nq`` queries.
+
+    Every active query starts at radius ``r0``. Each round,
+    ``probe(radii, cand)`` returns the ``(qid, id, dist)`` rows found at
+    ``radii`` (qid -> r) given the candidates verified so far (qid -> {id:
+    dist}). A query stops once k candidates lie within ``c * r`` or it has
+    ``budget`` candidates; otherwise ``r`` becomes ``c * r``.
+    Returns the top-k per query and the candidates verified per query.
+    """
+    r = {i: r0 for i in range(nq)}
+    cand: dict[int, dict[int, float]] = {i: {} for i in range(nq)}
+    active = set(range(nq))
+    for _ in range(max_rounds):
+        if not active:
+            break
+        got = probe({i: r[i] for i in active}, cand)
+        for qid, grp in got.groupby("qid"):
+            cand[int(qid)].update(
+                zip(grp["id"].astype(int), grp["dist"].astype(float)))
+        done = set()
+        for i in active:
+            C = cand[i]
+            close = sum(1 for dd in C.values() if dd <= c * r[i])
+            if close >= k or len(C) >= budget:
+                done.add(i)
+            else:
+                r[i] *= c
+        active -= done
+    # a query still active here hit the round cap: best effort over its candidates
+    results = [
+        _topk(np.fromiter(C.keys(), dtype=np.int64, count=len(C)),
+              np.fromiter(C.values(), dtype=np.float64, count=len(C)), k)
+        for C in cand.values()
+    ]
+    return results, {i: len(C) for i, C in cand.items()}
+
+
+# ---- PM-LSH ----------------------------------------------------------------
 def _partition_pruned(summary: dict, qp: np.ndarray, qpiv: np.ndarray,
                       pradius: float) -> bool:
     """True if the query ball B(qp, pradius) cannot touch this partition."""
@@ -86,47 +215,27 @@ class PMLSH:
     _index_name = "pmlsh"
 
     @staticmethod
-    def _tree_factory(*, capacity: int, pivots: np.ndarray, seed: int):
+    def _tree_factory(*, pivots: np.ndarray, seed: int):
         """Per-partition index constructor; R-LSH overrides with an R-tree."""
-        return lambda P: PMTree(P, capacity=capacity, pivots=pivots, seed=seed)
+        return lambda P: PMTree(P, capacity=NODE_CAPACITY, pivots=pivots, seed=seed)
 
     # ---- construction ----------------------------------------------------
     @classmethod
     def build(cls, spark: SparkSession, vectors: DataFrame, *, m: int = 15,
-              c: float = 1.5, n_partitions: int = 8, s: int = 5,
-              capacity: int = 16, seed: int = 0,
-              alpha1: float = 1.0 / math.e, beta: float | None = None,
-              sample_size: int = 4096) -> "PMLSH":
-        first = vectors.select("vec").first()
-        if first is None:
-            raise ValueError("cannot build an index over an empty DataFrame")
-        d = len(first["vec"])
-        proj = GaussianProjection(d, m, seed=seed)
-        ci = ConfidenceInterval.derive(m=m, c=c, alpha1=alpha1)
+              c: float = 1.5, n_partitions: int = 8, s: int = 5, seed: int = 0,
+              beta: float | None = None, sample_size: int = 4096) -> "PMLSH":
+        ci = ConfidenceInterval.derive(m=m, c=c, alpha1=ALPHA1)
         if beta is not None:
-            ci = ConfidenceInterval(m=m, c=c, alpha1=alpha1, t=ci.t,
-                                    alpha2=ci.alpha2, beta=beta)
+            ci = replace(ci, beta=beta)
+        pre = build_preamble(
+            vectors, lambda d, n: GaussianProjection(d, m, seed=seed),
+            n_partitions=n_partitions, seed=seed, sample_size=sample_size,
+            with_F=True)
+        pivots = select_pivots(pre.sample, s, seed=seed)
+        make_tree = cls._tree_factory(pivots=pivots, seed=seed)
 
-        projected = proj.transform(vectors)
-        # driver-side sample: k-means centers, global pivots, F(x)
-        n = vectors.count()
-        frac = min(1.0, (3.0 * sample_size) / max(n, 1))
-        sample_rows = projected.sample(fraction=frac, seed=seed).limit(sample_size).collect()
-        S_proj = np.stack([np.asarray(r["proj"]) for r in sample_rows])
-        S_orig = np.stack([np.asarray(r["vec"]) for r in sample_rows])
-        centers = kmeans(S_proj, n_partitions, seed=seed)
-        pivots = select_pivots(S_proj, s, seed=seed)
-        F = DistanceDistribution(S_orig, n_pairs=min(200_000, 40 * len(S_orig)),
-                                 seed=seed)
-
-        assigned = assign_partitions(projected, centers)
-
-        make_tree = cls._tree_factory(capacity=capacity, pivots=pivots, seed=seed)
-
-        def _build(pdf: pd.DataFrame) -> tuple[dict, dict]:
-            P = np.stack(pdf["proj"].to_numpy())
-            X = np.stack(pdf["vec"].to_numpy())
-            ids = pdf["id"].to_numpy(dtype=np.int64)
+        def _build(ids: np.ndarray, P: np.ndarray, X: np.ndarray
+                   ) -> tuple[dict, dict]:
             tree = make_tree(P)
             ro = P.mean(axis=0)
             radius = float(np.max(np.linalg.norm(P - ro[None, :], axis=1)))
@@ -144,18 +253,18 @@ class PMLSH:
                 else np.zeros((0, 2))
             )
             blob = {"tree": tree, "ids": ids, "P": P, "X": X}
-            summary = {"ro": ro, "radius": radius, "hr": hr, "count": len(ids)}
-            return blob, summary
+            return blob, {"ro": ro, "radius": radius, "hr": hr}
 
-        index = PartitionedIndex.build(spark, assigned, _build, name=cls._index_name)
-        return cls(spark=spark, proj=proj, ci=ci, pivots=pivots, index=index,
-                   F=F, n=n, beta=ci.beta)
+        index = PartitionedIndex.build(spark, pre.assigned, _build,
+                                       name=cls._index_name)
+        return cls(spark=spark, proj=pre.proj, ci=ci, pivots=pivots, index=index,
+                   F=pre.F, n=pre.n, beta=ci.beta)
 
     # ---- helpers ---------------------------------------------------------
-    def r_min(self, k: int, *, shrink: float = 0.9) -> float:
+    def r_min(self, k: int) -> float:
         """Initial radius: n*F(r) ~= beta*n + k, shrunk slightly (Sec. 4.5)."""
-        target = min(0.999, (self.beta * self.n + k) / max(self.n, 1))
-        r = self.F.quantile(target) * shrink
+        target = min(0.999, (self.beta * self.n + k) / self.n)
+        r = self.F.quantile(target) * R_MIN_SHRINK
         return max(r, 1e-9)
 
     def _probe_round(self, QP: dict[int, np.ndarray], QV: dict[int, np.ndarray],
@@ -182,107 +291,56 @@ class PMLSH:
         ]
         if not pids:
             return pd.DataFrame(columns=["qid", "id", "pdist", "dist"])
-        QP_loc, QV_loc, radii_loc, qpiv_loc = QP, QV, dict(radii), qpiv_all
 
         def _probe(blob: dict, summary: dict, pid: int) -> pd.DataFrame | None:
             tree: PMTree = blob["tree"]
             out = []
-            for qid, pr in radii_loc.items():
-                qp = QP_loc[qid]
-                if _partition_pruned(summary, qp, qpiv_loc[qid], pr):
+            for qid, pr in radii.items():
+                qp = QP[qid]
+                if _partition_pruned(summary, qp, qpiv_all[qid], pr):
                     continue
                 rows, pdists = tree.range_query(qp, pr)
-                if len(rows) == 0:
-                    continue
-                # "point probing": verify candidates with true distances
-                diff = blob["X"][rows] - QV_loc[qid][None, :]
-                dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                out.append(
-                    pd.DataFrame(
-                        {
-                            "qid": np.full(len(rows), qid, dtype=np.int64),
-                            "id": blob["ids"][rows],
-                            "pdist": pdists,
-                            "dist": dist,
-                        }
-                    )
-                )
-            if not out:
-                return None
-            return pd.concat(out, ignore_index=True)
+                if len(rows):
+                    out.append(_verified(qid, blob["ids"][rows], pdists,
+                                         blob["X"][rows], QV[qid]))
+            return pd.concat(out, ignore_index=True) if out else None
 
         sdf = self.index.probe(_probe, schema=CAND_SCHEMA, pids=pids)
         return sdf.toPandas()
 
     # ---- queries ---------------------------------------------------------
-    def query_batch(self, Q: np.ndarray, k: int = 50, *, c: float | None = None,
-                    max_rounds: int = 64) -> list[tuple[np.ndarray, np.ndarray]]:
+    def query_batch(self, Q: np.ndarray, k: int = 50, *, max_rounds: int = 64
+                    ) -> list[Result]:
         """(c,k)-ANN (Algorithm 2) for every row of ``Q``; returns
         ``[(ids, dists), ...]`` ranked ascending, one per query."""
-        Q = np.asarray(Q, dtype=np.float64)
-        if Q.ndim == 1:
-            Q = Q[None, :]
-        c = c if c is not None else self.ci.c
+        Q = query_matrix(Q, k, self.n)
+        QP = dict(enumerate(self.proj.project(Q)))
+        QV = dict(enumerate(Q))
         t = self.ci.t
-        QP = {i: p for i, p in enumerate(self.proj.project(Q))}
-        QV = {i: Q[i] for i in range(len(Q))}
-        need = self.beta * self.n + k
-        r = {i: self.r_min(k) for i in range(len(Q))}
-        cand: dict[int, dict[int, float]] = {i: {} for i in range(len(Q))}
-        active = set(range(len(Q)))
-        results: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for _ in range(max_rounds):
-            if not active:
-                break
-            got = self._probe_round(QP, QV, {i: t * r[i] for i in active})
-            for qid, grp in got.groupby("qid"):
-                cand[int(qid)].update(
-                    dict(zip(grp["id"].astype(int), grp["dist"].astype(float)))
-                )
-            done = set()
-            for i in active:
-                C = cand[i]
-                enough_close = (
-                    len(C) >= k
-                    and sum(1 for dd in C.values() if dd <= c * r[i]) >= k
-                )
-                if enough_close or len(C) >= need or len(C) >= self.n:
-                    ids = np.fromiter(C.keys(), dtype=np.int64, count=len(C))
-                    dists = np.fromiter(C.values(), dtype=np.float64, count=len(C))
-                    order = np.argsort(dists, kind="stable")[:k]
-                    results[i] = (ids[order], dists[order])
-                    done.add(i)
-                else:
-                    r[i] *= c
-            active -= done
-        for i in active:  # radius cap reached: return best effort
-            C = cand[i]
-            ids = np.fromiter(C.keys(), dtype=np.int64, count=len(C))
-            dists = np.fromiter(C.values(), dtype=np.float64, count=len(C))
-            order = np.argsort(dists, kind="stable")[:k]
-            results[i] = (ids[order], dists[order])
+        results, probed = enlarge_radius(
+            len(Q), k, r0=self.r_min(k), c=self.ci.c,
+            probe=lambda radii, _: self._probe_round(
+                QP, QV, {i: t * r for i, r in radii.items()}),
+            budget=min(self.beta * self.n + k, self.n), max_rounds=max_rounds)
         # candidates whose true distances were verified, per query — the
         # hardware-independent cost the paper's timing reflects
-        self.last_probed = {i: len(cand[i]) for i in range(len(Q))}
-        return [results[i] for i in range(len(Q))]
+        self.last_probed = probed
+        return results
 
-    def query(self, q: np.ndarray, k: int = 50, **kw) -> tuple[np.ndarray, np.ndarray]:
+    def query(self, q: np.ndarray, k: int = 50, **kw) -> Result:
         """Single-query convenience wrapper over ``query_batch``."""
         return self.query_batch(np.asarray(q)[None, :], k, **kw)[0]
 
-    def ball_cover(self, q: np.ndarray, r: float, *, c: float | None = None
-                   ) -> tuple[int, float] | None:
+    def ball_cover(self, q: np.ndarray, r: float) -> tuple[int, float] | None:
         """(r,c)-BC query (Algorithm 1): a point in B(q, c*r), or None."""
-        q = np.asarray(q, dtype=np.float64)
-        c = c if c is not None else self.ci.c
+        q = query_matrix(q, 1, self.n)[0]
         QP = {0: self.proj.project(q)[0]}
         got = self._probe_round(QP, {0: q}, {0: self.ci.t * r})
         if len(got) == 0:
             return None
-        got = got.sort_values("dist", kind="stable")
-        best_id, best_d = int(got.iloc[0]["id"]), float(got.iloc[0]["dist"])
-        if len(got) >= self.beta * self.n + 1:
-            return best_id, best_d
-        if best_d <= c * r:
+        ids, dists = _topk(got["id"].to_numpy(dtype=np.int64),
+                           got["dist"].to_numpy(dtype=np.float64), 1)
+        best_id, best_d = int(ids[0]), float(dists[0])
+        if len(got) >= self.beta * self.n + 1 or best_d <= self.ci.c * r:
             return best_id, best_d
         return None

@@ -63,3 +63,43 @@ def pmlsh_index(spark, audio_df):
 
     return PMLSH.build(spark, audio_df, m=15, c=1.5, n_partitions=6, seed=0,
                        beta=0.2809)
+
+
+# Baseline indexes over the same data, with their Table 4 parameters
+# (Multi-Probe with 64 probes); shared by the per-baseline, golden and
+# input-validation tests.
+@pytest.fixture(scope="session")
+def rlsh_index(spark, audio_df):
+    from repro.baselines.rlsh import RLSH
+
+    return RLSH.build(spark, audio_df, m=15, c=1.5, n_partitions=6, seed=0,
+                      beta=0.2809)
+
+
+@pytest.fixture(scope="session")
+def srs_index(spark, audio_df):
+    from repro.baselines.srs import SRS
+
+    return SRS.build(spark, audio_df, m=15, c=1.5, n_partitions=6, seed=0)
+
+
+@pytest.fixture(scope="session")
+def qalsh_index(spark, audio_df):
+    from repro.baselines.qalsh import QALSH
+
+    return QALSH.build(spark, audio_df, c=1.5, n_partitions=6, seed=0)
+
+
+@pytest.fixture(scope="session")
+def mp_index(spark, audio_df):
+    from repro.baselines.multiprobe import MultiProbe
+
+    return MultiProbe.build(spark, audio_df, L=4, m_mp=8, n_probe=64,
+                            n_partitions=6, seed=0)
+
+
+@pytest.fixture(scope="session")
+def lscan_index(spark, audio_df):
+    from repro.baselines.lscan import LScan
+
+    return LScan(spark, audio_df, fraction=0.7, seed=0)

@@ -6,19 +6,12 @@ import pytest
 
 from repro.baselines.lscan import LScan
 from repro.baselines.multiprobe import MultiProbe, probe_sequence
-from repro.baselines.qalsh import QALSH, qalsh_params
-from repro.baselines.rlsh import RLSH
+from repro.baselines.qalsh import qalsh_params
 from repro.baselines.srs import SRS
 from repro.metrics import summarize
 
 
 # ---- R-LSH ---------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def rlsh_index(spark, audio_df):
-    return RLSH.build(spark, audio_df, m=15, c=1.5, n_partitions=6, seed=0,
-                      beta=0.2809)
-
 
 def test_rlsh_quality(rlsh_index, audio_small, audio_exact):
     _, Q = audio_small
@@ -46,11 +39,6 @@ def test_rlsh_and_pmlsh_agree(rlsh_index, pmlsh_index, audio_small):
 
 
 # ---- SRS -----------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def srs_index(spark, audio_df):
-    return SRS.build(spark, audio_df, m=15, c=1.5, n_partitions=6, seed=0)
-
 
 def test_srs_quality(srs_index, audio_small, audio_exact):
     _, Q = audio_small
@@ -93,11 +81,6 @@ def test_srs_results_sorted(srs_index, audio_small):
 
 # ---- QALSH ---------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def qalsh_index(spark, audio_df):
-    return QALSH.build(spark, audio_df, c=1.5, n_partitions=6, seed=0)
-
-
 def test_qalsh_params_formulas():
     m_q, l, beta_q = qalsh_params(10_000, 1.5, m_cap=10_000)
     assert beta_q == pytest.approx(0.01)
@@ -128,12 +111,6 @@ def test_qalsh_radius_schedule_geometric(qalsh_index):
 
 
 # ---- Multi-Probe ---------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def mp_index(spark, audio_df):
-    return MultiProbe.build(spark, audio_df, L=4, m_mp=8, n_probe=64,
-                            n_partitions=6, seed=0)
-
 
 def test_probe_sequence_starts_with_base_bucket():
     f = np.array([0.4, 1.7, 3.9])
@@ -198,11 +175,6 @@ def test_multiprobe_more_probes_do_not_hurt(spark, audio_df, audio_small,
 
 
 # ---- LScan ---------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def lscan_index(spark, audio_df):
-    return LScan(spark, audio_df, fraction=0.7, seed=0)
-
 
 def test_lscan_sample_size(lscan_index, audio_small):
     X, _ = audio_small

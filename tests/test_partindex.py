@@ -29,10 +29,8 @@ def built(spark):
     centers = kmeans(proj.project(X), 4, seed=0)
     assigned = assign_partitions(df, centers)
 
-    def build_fn(pdf: pd.DataFrame):
-        V = np.stack(pdf["vec"].to_numpy())
-        ids = pdf["id"].to_numpy(dtype=np.int64)
-        return {"V": V, "ids": ids}, {"count": len(ids), "mean_norm": float(
+    def build_fn(ids, P, V):
+        return {"V": V, "ids": ids}, {"mean_norm": float(
             np.mean(np.linalg.norm(V, axis=1)))}
 
     idx = PartitionedIndex.build(spark, assigned, build_fn, name="test")
@@ -114,7 +112,7 @@ def test_distinct_builds_get_distinct_dirs(spark, built):
     centers = kmeans(proj.project(X), 2, seed=0)
     assigned = assign_partitions(df, centers)
     idx2 = PartitionedIndex.build(
-        spark, assigned, lambda pdf: ({"n": len(pdf)}, {"count": len(pdf)}),
+        spark, assigned, lambda ids, P, X: ({"n": len(ids)}, {}),
         name="test",
     )
     assert idx2.index_dir != idx.index_dir
