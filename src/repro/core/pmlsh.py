@@ -7,7 +7,7 @@ Build (Section 4.1, adapted to the distributed dataflow of this repo):
 2. partition the projected space with sampled k-means (one Spark
    partition per cluster) — ``repro.core.partitioner``;
 3. per partition, build a PM-tree over the projected points with a
-   *global* pivot set, and persist ``{tree, ids, P, X}`` as an index blob
+   *global* pivot set, and persist ``{tree, ids, X}`` as an index blob
    (``repro.core.partindex``). Each partition also reports a ball+ring
    summary, which the driver uses to prune whole partitions at query
    time — the same geometry as a PM-tree inner node, one level up.
@@ -252,7 +252,7 @@ class PMLSH:
                 if pd_mat.shape[1]
                 else np.zeros((0, 2))
             )
-            blob = {"tree": tree, "ids": ids, "P": P, "X": X}
+            blob = {"tree": tree, "ids": ids, "X": X}
             return blob, {"ro": ro, "radius": radius, "hr": hr}
 
         index = PartitionedIndex.build(spark, pre.assigned, _build,

@@ -1,4 +1,4 @@
-"""PM-tree (Skopal et al., DASFAA'05) over the projected space.
+"""PM-tree (Skopal et al., DASFAA'05) over the projected space, as flat arrays.
 
 The PM-tree augments the M-tree's hyper-sphere node regions with *hyper
 rings*: for a fixed global pivot set ``p_1..p_s``, every node keeps, per
@@ -7,19 +7,31 @@ region is the intersection of its ball and its rings, which is what makes
 its cost model (paper Eq. 6) beat the R-tree's.
 
 This implementation bulk-loads by recursive ball partitioning with a
-fixed node capacity (16 in the paper's cost study) and serves the only
-query PM-LSH needs: ``range(q, r)`` with the pruning conditions of paper
-Eq. 5 plus the classic M-tree parent-distance filter. Distance
+fixed node capacity (16 in the paper's cost study), then stores the tree
+as NumPy arrays with the nodes in BFS order, so each node's children are
+contiguous:
+
+- ``ro`` (N, m) routing objects, ``radius`` (N,) covering radii, ``pd``
+  (N,) distances to the parent's routing object (0 at the root), ``hr``
+  (N, s, 2) per-pivot [min, max] rings;
+- ``first_child``, ``n_children`` (N,): node i's children are nodes
+  ``first_child[i] .. first_child[i] + n_children[i] - 1``; a leaf has none;
+- ``lo``, ``hi`` (N,): node i's points are ``points[lo[i]:hi[i]]``. The
+  points are stored in leaf (DFS) order, so every subtree is one
+  contiguous range, and ``perm`` maps them back to the rows of the matrix
+  the tree was built on.
+
+It serves the only query PM-LSH needs: ``range(q, r)`` with the pruning
+conditions of paper Eq. 5 plus the classic M-tree parent-distance filter,
+evaluated level by level over the whole frontier at once. Distance
 computations are counted (``CC``) so the empirical cost can be checked
 against the analytic cost model of ``repro.costmodel``.
 
-Leaves store *row indices* into the point matrix the tree was built on,
+Queries return *row indices* into the point matrix the tree was built on,
 so the same structure serves the driver-local path and the per-Spark-
-partition path (where the matrix lives inside the serialized index blob).
+partition path (where that matrix's rows line up with the blob's ids).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +41,26 @@ __all__ = ["PMTree", "select_pivots"]
 def _dists(X: np.ndarray, q: np.ndarray) -> np.ndarray:
     diff = X - q[None, :]
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def _ro_dists(R: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(R[i] - q)`` for every row, bit for bit (one dot per
+    row), so a pruning decision does not depend on how many nodes share a level."""
+    D = R - q[None, :]
+    return np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
+
+
+def _pivot_dists(X: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """(n, s) point-to-pivot distances."""
+    if not len(pivots):
+        return np.zeros((len(X), 0))
+    return np.stack([_dists(X, p) for p in pivots], axis=1)
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(lo[i], hi[i])`` over i."""
+    n = hi - lo
+    return np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
 
 
 def select_pivots(X: np.ndarray, s: int, *, seed: int = 0) -> np.ndarray:
@@ -51,87 +83,42 @@ def select_pivots(X: np.ndarray, s: int, *, seed: int = 0) -> np.ndarray:
     return np.stack(pivots)
 
 
-@dataclass
-class _Node:
-    """One PM-tree node (inner or leaf).
+def _ball_partition(X: np.ndarray, PD: np.ndarray, capacity: int,
+                    rng: np.random.Generator) -> tuple[list[tuple], list[np.ndarray]]:
+    """Recursive ball partitioning of ``X``; ``PD`` holds its pivot distances.
 
-    ``ro`` is the routing object, ``radius`` the covering radius,
-    ``pd`` the distance to the parent's routing object, ``hr`` an (s, 2)
-    array of per-pivot [min, max] ring bounds.
+    Returns the nodes in preorder as ``(ro, radius, pd, hr, parent, lo,
+    size)`` tuples (``parent`` is a preorder index, -1 at the root) and the
+    leaves' rows in preorder, whose concatenation is the leaf order that
+    ``lo`` and ``size`` index.
     """
+    nodes: list[tuple] = []
+    leaf_rows: list[np.ndarray] = []
+    n_leaf_rows = 0
 
-    ro: np.ndarray
-    radius: float
-    pd: float
-    hr: np.ndarray
-    children: list["_Node"] = field(default_factory=list)
-    rows: np.ndarray | None = None  # leaf: indices into the point matrix
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.rows is not None
-
-    def n_entries(self) -> int:
-        return len(self.rows) if self.is_leaf else len(self.children)
-
-
-class PMTree:
-    """Bulk-loaded PM-tree over an (n, m) point matrix."""
-
-    def __init__(self, X: np.ndarray, *, n_pivots: int = 5, capacity: int = 16,
-                 seed: int = 0, pivots: np.ndarray | None = None):
-        X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
-        if X.ndim != 2:
-            raise ValueError("X must be a 2-D point matrix")
-        self.X = X
-        self.capacity = int(capacity)
-        # ``pivots`` may be supplied externally (the distributed index shares
-        # one global pivot set across partitions so rings stay comparable).
-        self.pivots = (
-            np.asarray(pivots, dtype=np.float64)
-            if pivots is not None
-            else select_pivots(X, n_pivots, seed=seed)
-        )
-        # (n, s) point-to-pivot distances, shared by every node's rings.
-        self.PD = (
-            np.stack([_dists(X, p) for p in self.pivots], axis=1)
-            if len(self.pivots)
-            else np.zeros((len(X), 0))
-        )
-        self._rng = np.random.default_rng(seed + 1)
-        self.root = self._build(np.arange(len(X)), parent_ro=None)
-        self.reset_counters()
-
-    # ---- construction ----------------------------------------------------
-    def _make_node(self, rows: np.ndarray, ro: np.ndarray,
-                   parent_ro: np.ndarray | None, leaf: bool) -> _Node:
-        d = _dists(self.X[rows], ro)
-        hr = (
-            np.stack(
-                [self.PD[rows].min(axis=0), self.PD[rows].max(axis=0)], axis=1
-            )
-            if self.PD.shape[1]
-            else np.zeros((0, 2))
-        )
-        pd = float(np.linalg.norm(ro - parent_ro)) if parent_ro is not None else 0.0
-        node = _Node(ro=ro, radius=float(d.max()) if len(d) else 0.0, pd=pd, hr=hr)
+    def make(rows: np.ndarray, ro: np.ndarray, parent: int, leaf: bool) -> int:
+        nonlocal n_leaf_rows
+        hr = np.stack([PD[rows].min(axis=0), PD[rows].max(axis=0)], axis=1)
+        pd = float(np.linalg.norm(ro - nodes[parent][0])) if parent >= 0 else 0.0
+        nodes.append((ro, float(_dists(X[rows], ro).max()), pd, hr, parent,
+                      n_leaf_rows, len(rows)))
         if leaf:
-            node.rows = rows
-        return node
+            leaf_rows.append(rows)
+            n_leaf_rows += len(rows)
+        return len(nodes) - 1
 
-    def _build(self, rows: np.ndarray, parent_ro: np.ndarray | None) -> _Node:
-        # routing object: the sampled point closest to the group centroid,
-        # a cheap medoid that keeps covering radii tight.
-        pts = self.X[rows]
-        centroid = pts.mean(axis=0)
-        ro = pts[int(np.argmin(_dists(pts, centroid)))]
-        if len(rows) <= self.capacity:
-            return self._make_node(rows, ro, parent_ro, leaf=True)
-        node = self._make_node(rows, ro, parent_ro, leaf=False)
+    def build(rows: np.ndarray, parent: int) -> None:
+        # routing object: the point closest to the group centroid, a cheap
+        # medoid that keeps covering radii tight
+        pts = X[rows]
+        ro = pts[int(np.argmin(_dists(pts, pts.mean(axis=0))))]
+        if len(rows) <= capacity:
+            make(rows, ro, parent, leaf=True)
+            return
+        me = make(rows, ro, parent, leaf=False)
         # ball partition into `capacity` groups around sampled seeds
-        k = min(self.capacity, len(rows))
-        seed_idx = self._rng.choice(len(rows), size=k, replace=False)
-        seeds = pts[seed_idx]
+        k = min(capacity, len(rows))
+        seeds = pts[rng.choice(len(rows), size=k, replace=False)]
         assign = np.argmin(
             np.linalg.norm(pts[:, None, :] - seeds[None, :, :], axis=2), axis=1
         )
@@ -142,10 +129,57 @@ class PMTree:
             # a group as big as its parent cannot be split further by this
             # seeding — fall back to a leaf chain to guarantee progress
             if len(grp) == len(rows):
-                node.children.append(self._make_node(grp, ro, ro, leaf=True))
+                make(grp, ro, me, leaf=True)
             else:
-                node.children.append(self._build(grp, ro))
-        return node
+                build(grp, me)
+
+    build(np.arange(len(X)), -1)
+    return nodes, leaf_rows
+
+
+class PMTree:
+    """Bulk-loaded PM-tree over an (n, m) point matrix."""
+
+    def __init__(self, X: np.ndarray, *, n_pivots: int = 5, capacity: int = 16,
+                 seed: int = 0, pivots: np.ndarray | None = None):
+        X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
+        if X.ndim != 2:
+            raise ValueError("X must be a 2-D point matrix")
+        # ``pivots`` may be supplied externally (the distributed index shares
+        # one global pivot set across partitions so rings stay comparable).
+        self.pivots = (
+            np.asarray(pivots, dtype=np.float64)
+            if pivots is not None
+            else select_pivots(X, n_pivots, seed=seed)
+        )
+        nodes, leaf_rows = _ball_partition(X, _pivot_dists(X, self.pivots),
+                                           int(capacity), np.random.default_rng(seed + 1))
+        ro, radius, pd, hr, parent, lo, size = zip(*nodes)
+        # preorder -> BFS order: a stable sort by depth keeps every node's
+        # children together and in order
+        parent = np.array(parent)
+        depth = np.zeros(len(nodes), dtype=np.int64)
+        for i in range(1, len(nodes)):
+            depth[i] = depth[parent[i]] + 1
+        order = np.argsort(depth, kind="stable")
+        bfs = np.empty_like(order)
+        bfs[order] = np.arange(len(order))
+        self.ro = np.stack(ro)[order]
+        self.radius = np.array(radius)[order]
+        self.pd = np.array(pd)[order]
+        self.hr = np.stack(hr)[order]
+        self.lo = np.array(lo)[order]
+        self.hi = self.lo + np.array(size)[order]
+        self.n_children = np.bincount(bfs[parent[order[1:]]], minlength=len(order))
+        self.first_child = 1 + np.cumsum(self.n_children) - self.n_children
+        self.perm = np.concatenate(leaf_rows)
+        self.points = X[self.perm]
+        self.reset_counters()
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Entries per node: children of an inner node, points of a leaf."""
+        return np.where(self.n_children > 0, self.n_children, self.hi - self.lo)
 
     # ---- query -----------------------------------------------------------
     def reset_counters(self) -> None:
@@ -159,71 +193,62 @@ class PMTree:
         visited only if the query ball intersects the node ball *and*
         every pivot ring. The parent-distance filter
         ``|d(q, parent) - e.pd| > r + e.radius`` prunes without a fresh
-        distance computation.
+        distance computation. Rows come grouped by leaf, leaves in DFS order.
         """
         q = np.asarray(q, dtype=np.float64)
-        qp = _dists(self.pivots, q) if len(self.pivots) else np.zeros(0)
-        self.cc += len(self.pivots)
-        out_rows: list[np.ndarray] = []
-        out_dists: list[np.ndarray] = []
+        qp = _dists(self.pivots, q)
+        q_lo, q_hi = qp - r, qp + r
+        self.cc += len(self.pivots) + 1
+        d = _ro_dists(self.ro[:1], q)
+        inside = d <= self.radius[0] + r
+        frontier, dist = np.flatnonzero(inside), d[inside]
+        leaves = [np.empty(0, dtype=np.intp)]
+        while len(frontier):
+            self.nodes_accessed += len(frontier)
+            hr = self.hr[frontier]
+            rings = ~(np.any(q_lo > hr[:, :, 1], axis=1)
+                      | np.any(q_hi < hr[:, :, 0], axis=1))
+            frontier, dist = frontier[rings], dist[rings]
+            n_ch = self.n_children[frontier]
+            leaves.append(frontier[n_ch == 0])
+            first = self.first_child[frontier]
+            child = _ranges(first, first + n_ch)
+            # pruned for free via the triangle inequality
+            near = (np.abs(np.repeat(dist, n_ch) - self.pd[child])
+                    <= r + self.radius[child])
+            child = child[near]
+            self.cc += len(child)
+            d = _ro_dists(self.ro[child], q)
+            inside = d <= self.radius[child] + r
+            frontier, dist = child[inside], d[inside]
+        leaves = np.concatenate(leaves)
+        leaves = leaves[np.argsort(self.lo[leaves])]
+        idx = _ranges(self.lo[leaves], self.hi[leaves])
+        self.cc += len(idx)
+        d = _dists(self.points[idx], q)
+        keep = d <= r
+        return self.perm[idx[keep]], d[keep]
 
-        def visit(node: _Node, d_parent: float | None) -> None:
-            self.nodes_accessed += 1
-            if node.hr.shape[0]:
-                if np.any(qp - r > node.hr[:, 1]) or np.any(qp + r < node.hr[:, 0]):
-                    return
-            if node.is_leaf:
-                d = _dists(self.X[node.rows], q)
-                self.cc += len(node.rows)
-                keep = d <= r
-                if np.any(keep):
-                    out_rows.append(node.rows[keep])
-                    out_dists.append(d[keep])
-                return
-            for child in node.children:
-                if d_parent is not None and abs(d_parent - child.pd) > r + child.radius:
-                    continue  # pruned for free via the triangle inequality
-                d_ro = float(np.linalg.norm(child.ro - q))
-                self.cc += 1
-                if d_ro > child.radius + r:
-                    continue
-                visit(child, d_ro)
-
-        d_root = float(np.linalg.norm(self.root.ro - q))
-        self.cc += 1
-        if d_root <= self.root.radius + r:
-            visit(self.root, d_root)
-        if not out_rows:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        return np.concatenate(out_rows), np.concatenate(out_dists)
-
-    # ---- introspection for the cost model -------------------------------
-    def nodes(self) -> list[_Node]:
-        """Every node in the tree (preorder) — input to the cost model."""
-        acc: list[_Node] = []
-
-        def rec(nd: _Node) -> None:
-            acc.append(nd)
-            for ch in nd.children:
-                rec(ch)
-
-        rec(self.root)
-        return acc
-
+    # ---- test hook -------------------------------------------------------
     def check_invariants(self) -> None:
-        """Assert radius/ring containment for every node (test hook)."""
-        def rec(nd: _Node) -> np.ndarray:
-            if nd.is_leaf:
-                rows = nd.rows
-            else:
-                rows = np.concatenate([rec(ch) for ch in nd.children])
-            d = _dists(self.X[rows], nd.ro)
-            assert np.all(d <= nd.radius + 1e-9), "covering radius violated"
-            if nd.hr.shape[0]:
-                pdist = self.PD[rows]
-                assert np.all(pdist >= nd.hr[:, 0][None, :] - 1e-9), "ring min violated"
-                assert np.all(pdist <= nd.hr[:, 1][None, :] + 1e-9), "ring max violated"
-            return rows
-
-        rows = rec(self.root)
-        assert len(np.unique(rows)) == len(self.X), "tree must cover every point once"
+        """Assert the layout and radius/ring containment of every node."""
+        n_nodes = len(self.radius)
+        PD = _pivot_dists(self.points, self.pivots)
+        kids = _ranges(self.first_child, self.first_child + self.n_children)
+        assert np.array_equal(kids, np.arange(1, n_nodes)), "children not in BFS order"
+        for i in range(n_nodes):
+            span = slice(self.lo[i], self.hi[i])
+            d = _dists(self.points[span], self.ro[i])
+            assert np.all(d <= self.radius[i] + 1e-9), "covering radius violated"
+            assert np.all(PD[span] >= self.hr[i, :, 0][None, :] - 1e-9), "ring min violated"
+            assert np.all(PD[span] <= self.hr[i, :, 1][None, :] + 1e-9), "ring max violated"
+            if self.n_children[i]:
+                ch = slice(self.first_child[i], self.first_child[i] + self.n_children[i])
+                assert self.lo[ch][0] == self.lo[i] and self.hi[ch][-1] == self.hi[i] \
+                    and np.array_equal(self.lo[ch][1:], self.hi[ch][:-1]), \
+                    "children must tile their parent's points"
+                pd = _ro_dists(self.ro[ch], self.ro[i])
+                assert np.allclose(self.pd[ch], pd, rtol=0, atol=1e-9), "parent distance"
+        assert self.lo[0] == 0 and self.hi[0] == len(self.points)
+        assert np.array_equal(np.sort(self.perm), np.arange(len(self.perm))), \
+            "tree must cover every point once"

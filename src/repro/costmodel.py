@@ -81,15 +81,9 @@ def isochoric_cube_side(rq: float, m: int) -> float:
 
 def cc_pmtree(tree: PMTree, rq: float, F: DistanceDistribution) -> float:
     """Expected distance computations of ``range(q, rq)`` (Eqs. 6-7)."""
-    total = 0.0
-    for node in tree.nodes():
-        pr = F(node.radius + rq)
-        for i in range(node.hr.shape[0]):
-            pr *= max(
-                0.0, F(node.hr[i, 1] + rq) - F(node.hr[i, 0] - rq)
-            )
-        total += node.n_entries() * pr
-    return total
+    rings = np.maximum(0.0, F(tree.hr[:, :, 1] + rq) - F(tree.hr[:, :, 0] - rq))
+    pr = F(tree.radius + rq) * np.prod(rings, axis=1)
+    return float(np.sum(tree.entries * pr))
 
 
 def cc_rtree(tree: RTree, rq: float, G: list[np.ndarray]) -> float:

@@ -78,7 +78,7 @@ def test_cc_estimates_positive_and_bounded(projected_data, F):
     assert 0 < cc_rt
     # total entries over all nodes is ~ n * (1 + 1/cap + ...) < 1.2 n per
     # level count; the model cannot exceed visiting everything
-    total_pm = sum(nd.n_entries() for nd in pm.nodes())
+    total_pm = pm.entries.sum()
     total_rt = sum(nd.n_entries() for nd in rt.nodes())
     assert cc_pm <= total_pm
     assert cc_rt <= total_rt

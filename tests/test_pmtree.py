@@ -1,4 +1,6 @@
 """Tests for the PM-tree: structural invariants and range-query correctness."""
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,10 +120,16 @@ def test_rejects_non_matrix_input():
 
 def test_nodes_enumeration_covers_all_leaf_entries(tree_and_data):
     tree, X = tree_and_data
-    leaf_total = sum(
-        node.n_entries() for node in tree.nodes() if node.is_leaf
-    )
+    leaf_total = tree.entries[tree.n_children == 0].sum()
     assert leaf_total == len(X)
+
+
+def test_pickled_tree_holds_only_arrays_and_scalars(tree_and_data):
+    tree, _ = tree_and_data
+    state = vars(pickle.loads(pickle.dumps(tree)))
+    assert state
+    for name, value in state.items():
+        assert isinstance(value, (np.ndarray, int, float, np.number)), name
 
 
 def test_select_pivots_spread():
