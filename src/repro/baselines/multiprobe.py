@@ -30,6 +30,8 @@ from repro.core.partindex import PartitionedIndex
 from repro.core.pmlsh import (
     CAND_SCHEMA,
     Result,
+    _cand_frame,
+    _group_by_qid,
     _topk,
     _verified,
     build_preamble,
@@ -156,7 +158,7 @@ class MultiProbe:
 
         def _probe(blob: dict, summary: dict, pid: int) -> pd.DataFrame | None:
             tables, X, ids = blob["tables"], blob["X"], blob["ids"]
-            out = []
+            parts = []
             for qi, per_table in plans.items():
                 rows_acc: list[np.ndarray] = []
                 for t, buckets in enumerate(per_table):
@@ -168,18 +170,20 @@ class MultiProbe:
                 if not rows_acc:
                     continue
                 rows = np.unique(np.concatenate(rows_acc))
-                out.append(_verified(qi, ids[rows], np.zeros(len(rows)), X[rows],
-                                     QV[qi]))
-            return pd.concat(out, ignore_index=True) if out else None
+                parts.append((qi, ids[rows], np.zeros(len(rows)),
+                              _verified(X, rows, QV[qi])))
+            return _cand_frame(parts)
 
         got = self.index.probe(_probe, schema=CAND_SCHEMA).toPandas()
+        all_ids = got["id"].to_numpy(dtype=np.int64)
+        all_dist = got["dist"].to_numpy(dtype=np.float64)
+        order, bounds = _group_by_qid(got["qid"].to_numpy(dtype=np.int64), len(Q))
         results = []
         self.last_probed = {}
         for qi in range(len(Q)):
-            grp = got[got["qid"] == qi]
-            ids = grp["id"].to_numpy(dtype=np.int64)
-            self.last_probed[qi] = len(ids)
-            results.append(_topk(ids, grp["dist"].to_numpy(), k))
+            grp = order[bounds[qi]:bounds[qi + 1]]
+            self.last_probed[qi] = len(grp)
+            results.append(_topk(all_ids[grp], all_dist[grp], k))
         return results
 
     def query(self, q: np.ndarray, k: int = 50) -> Result:

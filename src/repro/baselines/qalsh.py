@@ -36,6 +36,7 @@ from repro.core.partindex import PartitionedIndex
 from repro.core.pmlsh import (
     CAND_SCHEMA,
     Result,
+    _cand_frame,
     _verified,
     build_preamble,
     enlarge_radius,
@@ -115,16 +116,15 @@ class QALSH:
         QH = self.proj.project(Q)                     # (nq, m_q)
         l_loc, QV = self.l, Q
 
-        def probe(radii: dict[int, float], cand: dict[int, dict]) -> pd.DataFrame:
+        def probe(radii: dict[int, float], seen: dict[int, np.ndarray]
+                  ) -> pd.DataFrame:
             """One virtual-rehashing round; ids already verified are skipped."""
-            seen_ids = {i: np.fromiter(cand[i], dtype=np.int64, count=len(cand[i]))
-                        for i in radii}
 
             def _probe(blob: dict, summary: dict, pid: int) -> pd.DataFrame | None:
                 sorted_h, order = blob["sorted_h"], blob["order"]
                 X, ids = blob["X"], blob["ids"]
                 n_i = len(ids)
-                out = []
+                parts = []
                 for qi, rr in radii.items():
                     half = W * rr / 2.0
                     counts = np.zeros(n_i, dtype=np.int32)
@@ -138,11 +138,11 @@ class QALSH:
                     hit = np.where(counts >= l_loc)[0]
                     if len(hit) == 0:
                         continue
-                    hit = hit[~np.isin(ids[hit], seen_ids[qi])]
+                    hit = hit[~np.isin(ids[hit], seen[qi])]
                     if len(hit):
-                        out.append(_verified(qi, ids[hit], np.zeros(len(hit)),
-                                             X[hit], QV[qi]))
-                return pd.concat(out, ignore_index=True) if out else None
+                        parts.append((qi, ids[hit], np.zeros(len(hit)),
+                                      _verified(X, hit, QV[qi])))
+                return _cand_frame(parts)
 
             return self.index.probe(_probe, schema=CAND_SCHEMA).toPandas()
 

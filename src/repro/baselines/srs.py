@@ -34,6 +34,8 @@ from repro.core.partindex import PartitionedIndex
 from repro.core.pmlsh import (
     CAND_SCHEMA,
     Result,
+    _cand_frame,
+    _group_by_qid,
     _topk,
     _verified,
     build_preamble,
@@ -92,22 +94,26 @@ class SRS:
             # global projected-distance order without every partition
             # paying the full budget in true-distance evaluations
             take = min(n_i, int(budget_total * n_i / max(n_total, 1) * 1.5) + k)
-            out = []
+            parts = []
             for qi in range(len(QP_loc)):
                 rho = P - QP_loc[qi][None, :]
                 pdist = np.sqrt(np.einsum("ij,ij->i", rho, rho))
                 sel = np.argsort(pdist, kind="stable")[:take]
-                out.append(_verified(qi, ids[sel], pdist[sel], X[sel], QV_loc[qi]))
-            return pd.concat(out, ignore_index=True)
+                parts.append((qi, ids[sel], pdist[sel], _verified(X, sel, QV_loc[qi])))
+            return _cand_frame(parts)
 
         got = self.index.probe(_probe, schema=CAND_SCHEMA).toPandas()
+        all_ids = got["id"].to_numpy(dtype=np.int64)
+        all_pdist = got["pdist"].to_numpy(dtype=np.float64)
+        all_dist = got["dist"].to_numpy(dtype=np.float64)
+        order, bounds = _group_by_qid(got["qid"].to_numpy(dtype=np.int64), len(Q))
         results = []
         self.last_probed = {}
         for qi in range(len(Q)):
-            grp = got[got["qid"] == qi].sort_values("pdist", kind="stable")
-            ids = grp["id"].to_numpy(dtype=np.int64)
-            pdist = grp["pdist"].to_numpy()
-            dist = grp["dist"].to_numpy()
+            grp = order[bounds[qi]:bounds[qi + 1]]
+            # the merged stream: this query's rows in projected-distance order
+            grp = grp[np.argsort(all_pdist[grp], kind="stable")]
+            ids, pdist, dist = all_ids[grp], all_pdist[grp], all_dist[grp]
             stop = self._incremental_stop(pdist, dist, k, budget_total)
             self.last_probed[qi] = stop
             results.append(_topk(ids[:stop], dist[:stop], k))

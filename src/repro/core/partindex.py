@@ -8,8 +8,9 @@ Multi-Probe) follows the same dataflow:
    holding NumPy matrices plus a tree/hash structure) is written to
    ``<index_dir>/part-<pid>.pkl``. Only a tiny meta row (pid, path,
    count, pickled summary) flows back through Spark.
-2. *probe* — ``mapInPandas`` over the cached meta DataFrame runs an
-   index-specific ``probe_fn(blob, summary)`` per partition; executors
+2. *probe* — ``mapInPandas`` over the meta DataFrame (a small local
+   DataFrame built from the collected meta rows, never ``.cache()``d) runs
+   an index-specific ``probe_fn(blob, summary, pid)`` per partition; executors
    memoize deserialized blobs per worker process, so repeated probe
    rounds (PM-LSH's radius enlarging, QALSH's virtual rehashing) pay the
    disk+pickle cost once.
@@ -75,7 +76,7 @@ def default_index_root() -> str:
 class PartitionedIndex:
     """Meta DataFrame + driver-side summaries for one built index."""
 
-    meta: DataFrame              # cached (pid, path, count, summary) rows
+    meta: DataFrame              # local (pid, path, count, summary) rows
     summaries: dict[int, dict]   # pid -> summary dict (driver copy)
     n: int                       # total indexed points
     index_dir: str

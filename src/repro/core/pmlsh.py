@@ -31,6 +31,8 @@ from here):
 - :func:`enlarge_radius` — Algorithm 2's radius-enlarging loop, also
   QALSH's virtual rehashing;
 - :func:`query_matrix` — query-batch validation on the driver;
+- :func:`_verified` and :func:`_cand_frame` — the executors' true-distance
+  verification and the one candidate frame each partition returns;
 - :func:`_topk` — the final ranking, by ``(dist, id)``.
 """
 from __future__ import annotations
@@ -124,23 +126,49 @@ def query_matrix(Q: np.ndarray, k: int, n: int) -> np.ndarray:
     return Q
 
 
-def _verified(qid: int, ids: np.ndarray, pdist: np.ndarray, X: np.ndarray,
-              q: np.ndarray) -> pd.DataFrame:
-    """``CAND_SCHEMA`` rows for one query's candidates ``X``, with their true
-    distances to ``q`` (the paper's "point probing")."""
-    diff = X - q[None, :]
+def _verified(X: np.ndarray, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """True distances from ``q`` to the points ``X[rows]`` (the paper's
+    "point probing"). ``X`` is left unchanged: ``rows`` is made an integer
+    index, so the gather is one fresh copy that is then shifted in place."""
+    diff = X[np.asarray(rows, dtype=np.intp)]
+    diff -= q
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def _cand_frame(parts: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
+                ) -> pd.DataFrame | None:
+    """One partition's ``CAND_SCHEMA`` frame from its per-query
+    ``(qid, ids, pdist, dist)`` pieces, in order; None if there are none."""
+    if not parts:
+        return None
+    qids, ids, pdist, dist = zip(*parts)
     return pd.DataFrame(
         {
-            "qid": np.full(len(ids), qid, dtype=np.int64),
-            "id": ids,
-            "pdist": pdist,
-            "dist": np.sqrt(np.einsum("ij,ij->i", diff, diff)),
+            "qid": np.repeat(np.asarray(qids, dtype=np.int64),
+                             [len(a) for a in ids]),
+            "id": np.concatenate(ids),
+            "pdist": np.concatenate(pdist),
+            "dist": np.concatenate(dist),
         }
     )
 
 
+def _group_by_qid(qid: np.ndarray, nq: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows grouped by query: query i's rows are ``order[bounds[i]:bounds[i+1]]``,
+    in their original order."""
+    order = np.argsort(qid, kind="stable")
+    bounds = np.zeros(nq + 1, dtype=np.intp)
+    np.cumsum(np.bincount(qid, minlength=nq), out=bounds[1:])
+    return order, bounds
+
+
 def _topk(ids: np.ndarray, dists: np.ndarray, k: int) -> Result:
     """The k smallest distances, ties broken by ascending id."""
+    if len(dists) > k:
+        # only rows up to the k-th smallest distance can rank; keeping every
+        # row tied with it leaves the id tie-break to the sort below
+        keep = ~(dists > np.partition(dists, k - 1)[k - 1])
+        ids, dists = ids[keep], dists[keep]
     order = np.lexsort((ids, dists))[:k]
     return ids[order], dists[order]
 
@@ -151,38 +179,49 @@ def enlarge_radius(nq: int, k: int, *, r0: float, c: float,
     """Algorithm 2's loop for a batch of ``nq`` queries.
 
     Every active query starts at radius ``r0``. Each round,
-    ``probe(radii, cand)`` returns the ``(qid, id, dist)`` rows found at
-    ``radii`` (qid -> r) given the candidates verified so far (qid -> {id:
-    dist}). A query stops once k candidates lie within ``c * r`` or it has
+    ``probe(radii, seen)`` returns the ``(qid, id, dist)`` rows found at
+    ``radii`` (qid -> r) given the ids verified so far (qid -> ids array).
+    A query stops once k candidates lie within ``c * r`` or it has
     ``budget`` candidates; otherwise ``r`` becomes ``c * r``.
     Returns the top-k per query and the candidates verified per query.
     """
-    r = {i: r0 for i in range(nq)}
-    cand: dict[int, dict[int, float]] = {i: {} for i in range(nq)}
-    active = set(range(nq))
+    r = np.full(nq, float(r0))
+    active = np.arange(nq)
+    qid = np.empty(0, dtype=np.int64)
+    ids = np.empty(0, dtype=np.int64)
+    dist = np.empty(0, dtype=np.float64)
     for _ in range(max_rounds):
-        if not active:
+        if not len(active):
             break
-        got = probe({i: r[i] for i in active}, cand)
-        for qid, grp in got.groupby("qid"):
-            cand[int(qid)].update(
-                zip(grp["id"].astype(int), grp["dist"].astype(float)))
-        done = set()
-        for i in active:
-            C = cand[i]
-            close = sum(1 for dd in C.values() if dd <= c * r[i])
-            if close >= k or len(C) >= budget:
-                done.add(i)
-            else:
-                r[i] *= c
-        active -= done
+        order, bounds = _group_by_qid(qid, nq)
+        got = probe({int(i): float(r[i]) for i in active},
+                    {int(i): ids[order[bounds[i]:bounds[i + 1]]] for i in active})
+        new = (got["qid"].to_numpy(dtype=np.int64),
+               got["id"].to_numpy(dtype=np.int64),
+               got["dist"].to_numpy(dtype=np.float64))
+        if len(qid):
+            # a round may return pairs an earlier round verified; keep each
+            # (qid, id) pair once, with its latest distance
+            qid, ids, dist = (np.concatenate(a) for a in zip((qid, ids, dist), new))
+            order = np.lexsort((ids, qid))
+            last = np.ones(len(order), dtype=bool)
+            last[:-1] = (np.diff(qid[order]) != 0) | (np.diff(ids[order]) != 0)
+            keep = order[last]
+            qid, ids, dist = qid[keep], ids[keep], dist[keep]
+        else:
+            qid, ids, dist = new
+        n_cand = np.bincount(qid, minlength=nq)[active]
+        close = np.bincount(qid[dist <= c * r[qid]], minlength=nq)[active]
+        go_on = (close < k) & (n_cand < budget)
+        active = active[go_on]
+        r[active] *= c
     # a query still active here hit the round cap: best effort over its candidates
-    results = [
-        _topk(np.fromiter(C.keys(), dtype=np.int64, count=len(C)),
-              np.fromiter(C.values(), dtype=np.float64, count=len(C)), k)
-        for C in cand.values()
-    ]
-    return results, {i: len(C) for i, C in cand.items()}
+    order, bounds = _group_by_qid(qid, nq)
+    results = []
+    for i in range(nq):
+        sl = order[bounds[i]:bounds[i + 1]]
+        results.append(_topk(ids[sl], dist[sl], k))
+    return results, {i: int(bounds[i + 1] - bounds[i]) for i in range(nq)}
 
 
 # ---- PM-LSH ----------------------------------------------------------------
@@ -294,16 +333,16 @@ class PMLSH:
 
         def _probe(blob: dict, summary: dict, pid: int) -> pd.DataFrame | None:
             tree: PMTree = blob["tree"]
-            out = []
+            parts = []
             for qid, pr in radii.items():
                 qp = QP[qid]
                 if _partition_pruned(summary, qp, qpiv_all[qid], pr):
                     continue
                 rows, pdists = tree.range_query(qp, pr)
                 if len(rows):
-                    out.append(_verified(qid, blob["ids"][rows], pdists,
-                                         blob["X"][rows], QV[qid]))
-            return pd.concat(out, ignore_index=True) if out else None
+                    parts.append((qid, blob["ids"][rows], pdists,
+                                  _verified(blob["X"], rows, QV[qid])))
+            return _cand_frame(parts)
 
         sdf = self.index.probe(_probe, schema=CAND_SCHEMA, pids=pids)
         return sdf.toPandas()
