@@ -1,47 +1,67 @@
-"""R-tree over the projected space (substrate for SRS / R-LSH / Table 2).
+"""R-tree over the projected space (substrate for R-LSH and Table 2), as flat arrays.
 
 Bulk-loaded with Sort-Tile-Recursive (STR), fixed node capacity (16 in
-the paper's cost study). Two queries are served:
+the paper's cost study), then stored like the PM-tree: nodes in BFS
+order, so each node's children are contiguous:
 
-- ``range_query(q, r)`` — ball/MBR intersection via mindist, used by the
-  R-LSH baseline (PM-LSH with the PM-tree swapped out) and by the
-  empirical side of the Table 2 cost comparison;
-- ``incremental_nn(q)`` — Hjaltason–Samet best-first traversal yielding
-  points in increasing (projected) distance, used by the SRS baseline.
+- ``mbr_lo``, ``mbr_hi`` (N, m): node i's minimum bounding rectangle;
+- ``first_child``, ``n_children`` (N,): node i's children are nodes
+  ``first_child[i] .. first_child[i] + n_children[i] - 1``; a leaf has none;
+- ``lo``, ``hi`` (N,): node i's points are ``points[lo[i]:hi[i]]``. STR
+  puts every leaf at the same depth, so the leaf level in BFS order is the
+  DFS leaf order, and every subtree is one contiguous range; ``perm`` maps
+  the points back to the rows of the matrix the tree was built on.
 
-Distance computations are counted in ``cc`` with the same accounting as
-the PM-tree (one unit per point distance or per node mindist), so the
-two trees' empirical costs are comparable.
+It serves ``range_query(q, r)`` (ball/MBR intersection via mindist,
+evaluated level by level over the whole frontier at once), used by the
+R-LSH baseline (PM-LSH with the PM-tree swapped out) and by the measured
+side of the Table 2 cost comparison. Distance computations are counted in
+``cc`` with the same accounting as the PM-tree (one unit per point
+distance or per node mindist), so the two trees' empirical costs are
+comparable.
 """
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Iterator
-
 import numpy as np
+
+from repro.core.pmtree import _ranges
 
 __all__ = ["RTree"]
 
 
-@dataclass
-class _RNode:
-    lo: np.ndarray
-    hi: np.ndarray
-    children: list["_RNode"] = field(default_factory=list)
-    rows: np.ndarray | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.rows is not None
-
-    def n_entries(self) -> int:
-        return len(self.rows) if self.is_leaf else len(self.children)
+def _mindist2(q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Squared distance from ``q`` to every box ``[lo[i], hi[i]]``, one dot
+    per row, so a pruning decision does not depend on how many nodes share a level."""
+    d = np.maximum(np.maximum(lo - q[None, :], 0.0), q[None, :] - hi)
+    return np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
 
 
-def _mindist2(q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    d = np.maximum(np.maximum(lo - q, 0.0), q - hi)
-    return float(np.dot(d, d))
+def _str_tiles(pts: np.ndarray, cap: int) -> list[np.ndarray]:
+    """Sort-Tile-Recursive grouping of the rows of ``pts`` into size<=cap tiles.
+
+    Sort along dimension 0, cut into slabs, recurse on the next dimension
+    inside each slab; the final dimension is chunked in sorted order.
+    """
+    n, m = pts.shape
+    if n <= cap:
+        return [np.arange(n)]
+
+    def rec(pos: np.ndarray, dim: int) -> list[np.ndarray]:
+        order = pos[np.argsort(pts[pos, dim], kind="stable")]
+        if len(pos) <= cap or dim >= m - 1:
+            return [order[i : i + cap] for i in range(0, len(order), cap)]
+        n_tiles = int(np.ceil(len(pos) / cap))
+        rem = m - dim
+        n_slabs = max(1, int(np.ceil(n_tiles ** (1.0 / rem))))
+        slab = int(np.ceil(len(order) / n_slabs))
+        if slab >= len(order):  # one slab: avoid infinite recursion
+            return rec(order, dim + 1)
+        out: list[np.ndarray] = []
+        for i in range(0, len(order), slab):
+            out.extend(rec(order[i : i + slab], dim + 1))
+        return out
+
+    return rec(np.arange(n), 0)
 
 
 class RTree:
@@ -51,149 +71,89 @@ class RTree:
         X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
         if X.ndim != 2:
             raise ValueError("X must be a 2-D point matrix")
-        self.X = X
         self.capacity = int(capacity)
-        self.root = self._str_build(np.arange(len(X)))
+        # bottom-up: tile the points into leaves, then tile each level's MBR
+        # centres into the level above; a level is (lo, hi, sizes, groups)
+        tiles = _str_tiles(X, self.capacity)
+        levels = [(np.stack([X[t].min(axis=0) for t in tiles]),
+                   np.stack([X[t].max(axis=0) for t in tiles]),
+                   np.array([len(t) for t in tiles]), [])]
+        while len(levels[-1][0]) > 1:
+            lo, hi, sizes, _ = levels[-1]
+            groups = _str_tiles((lo + hi) * 0.5, self.capacity)
+            levels.append((np.stack([lo[g].min(axis=0) for g in groups]),
+                           np.stack([hi[g].max(axis=0) for g in groups]),
+                           np.array([sizes[g].sum() for g in groups]), groups))
+        # top-down into BFS order: a level's nodes are the concatenated child
+        # groups of the level above, and each level tiles all the points
+        order = np.zeros(1, dtype=np.intp)
+        cols = []
+        for lo, hi, sizes, groups in reversed(levels):
+            n_ch = np.array([len(groups[i]) for i in order]) if groups else np.zeros_like(order)
+            start = np.cumsum(sizes[order]) - sizes[order]
+            cols.append((lo[order], hi[order], n_ch, start, start + sizes[order]))
+            if groups:
+                order = np.concatenate([groups[i] for i in order])
+        self.mbr_lo, self.mbr_hi, self.n_children, self.lo, self.hi = (
+            np.concatenate(c) for c in zip(*cols))
+        self.first_child = 1 + np.cumsum(self.n_children) - self.n_children
+        self.perm = np.concatenate([tiles[i] for i in order])
+        self.points = X[self.perm]
         self.reset_counters()
 
-    # ---- construction ----------------------------------------------------
-    def _leaf(self, rows: np.ndarray) -> _RNode:
-        pts = self.X[rows]
-        return _RNode(lo=pts.min(axis=0), hi=pts.max(axis=0), rows=rows)
+    @property
+    def entries(self) -> np.ndarray:
+        """Entries per node: children of an inner node, points of a leaf."""
+        return np.where(self.n_children > 0, self.n_children, self.hi - self.lo)
 
-    def _str_build(self, rows: np.ndarray) -> _RNode:
-        # Build the leaf level by STR tiling, then pack upward.
-        level: list[_RNode] = [
-            self._leaf(r) for r in self._str_tiles(rows, self.capacity)
-        ]
-        while len(level) > 1:
-            centers = np.stack([(nd.lo + nd.hi) * 0.5 for nd in level])
-            groups = self._str_tiles(np.arange(len(level)), self.capacity,
-                                     pts=centers)
-            nxt = []
-            for grp in groups:
-                kids = [level[i] for i in grp]
-                nxt.append(
-                    _RNode(
-                        lo=np.min(np.stack([k.lo for k in kids]), axis=0),
-                        hi=np.max(np.stack([k.hi for k in kids]), axis=0),
-                        children=kids,
-                    )
-                )
-            level = nxt
-        return level[0]
-
-    def _str_tiles(self, rows: np.ndarray, cap: int,
-                   pts: np.ndarray | None = None) -> list[np.ndarray]:
-        """Sort-Tile-Recursive grouping of ``rows`` into size<=cap tiles.
-
-        Sort along dimension 0, cut into slabs, recurse on the next
-        dimension inside each slab; the final dimension is chunked in
-        sorted order. Positional indices into ``pts`` are used throughout.
-        """
-        if pts is None:
-            pts = self.X[rows]
-        n, m = len(rows), pts.shape[1]
-        if n <= cap:
-            return [rows]
-
-        def rec(pos: np.ndarray, dim: int) -> list[np.ndarray]:
-            order = pos[np.argsort(pts[pos, dim], kind="stable")]
-            if len(pos) <= cap or dim >= m - 1:
-                return [order[i : i + cap] for i in range(0, len(order), cap)]
-            n_tiles = int(np.ceil(len(pos) / cap))
-            rem = m - dim
-            n_slabs = max(1, int(np.ceil(n_tiles ** (1.0 / rem))))
-            slab = int(np.ceil(len(order) / n_slabs))
-            if slab >= len(order):  # one slab: avoid infinite recursion
-                return rec(order, dim + 1)
-            out: list[np.ndarray] = []
-            for i in range(0, len(order), slab):
-                out.extend(rec(order[i : i + slab], dim + 1))
-            return out
-
-        return [rows[g] for g in rec(np.arange(n), 0)]
-
-    # ---- queries ---------------------------------------------------------
+    # ---- query -----------------------------------------------------------
     def reset_counters(self) -> None:
         self.cc = 0
         self.nodes_accessed = 0
 
     def range_query(self, q: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """Row indices within distance ``r`` of ``q`` plus their distances."""
+        """Row indices within distance ``r`` of ``q`` plus their distances.
+
+        Every node on the frontier costs one mindist; the children of the
+        nodes whose MBR meets the ball form the next frontier. Rows come
+        grouped by leaf, leaves in DFS order.
+        """
         q = np.asarray(q, dtype=np.float64)
         r2 = r * r
-        out_rows: list[np.ndarray] = []
-        out_dists: list[np.ndarray] = []
-        stack = [self.root]
-        while stack:
-            nd = stack.pop()
-            self.nodes_accessed += 1
-            self.cc += 1  # mindist computation
-            if _mindist2(q, nd.lo, nd.hi) > r2:
-                continue
-            if nd.is_leaf:
-                diff = self.X[nd.rows] - q[None, :]
-                d2 = np.einsum("ij,ij->i", diff, diff)
-                self.cc += len(nd.rows)
-                keep = d2 <= r2
-                if np.any(keep):
-                    out_rows.append(nd.rows[keep])
-                    out_dists.append(np.sqrt(d2[keep]))
-            else:
-                stack.extend(nd.children)
-        if not out_rows:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        return np.concatenate(out_rows), np.concatenate(out_dists)
+        frontier = np.zeros(1, dtype=np.intp)
+        leaves = [np.empty(0, dtype=np.intp)]
+        while len(frontier):
+            self.nodes_accessed += len(frontier)
+            self.cc += len(frontier)
+            frontier = frontier[_mindist2(q, self.mbr_lo[frontier],
+                                          self.mbr_hi[frontier]) <= r2]
+            n_ch = self.n_children[frontier]
+            leaves.append(frontier[n_ch == 0])
+            first = self.first_child[frontier]
+            frontier = _ranges(first, first + n_ch)
+        leaves = np.concatenate(leaves)
+        idx = _ranges(self.lo[leaves], self.hi[leaves])
+        self.cc += len(idx)
+        diff = self.points[idx] - q[None, :]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        keep = d2 <= r2
+        return self.perm[idx[keep]], np.sqrt(d2[keep])
 
-    def incremental_nn(self, q: np.ndarray) -> Iterator[tuple[int, float]]:
-        """Yield ``(row, distance)`` in nondecreasing distance (best-first)."""
-        q = np.asarray(q, dtype=np.float64)
-        heap: list[tuple[float, int, object]] = []
-        counter = 0
-        heapq.heappush(heap, (_mindist2(q, self.root.lo, self.root.hi), counter, self.root))
-        self.cc += 1
-        while heap:
-            key, _, item = heapq.heappop(heap)
-            if isinstance(item, _RNode):
-                self.nodes_accessed += 1
-                if item.is_leaf:
-                    diff = self.X[item.rows] - q[None, :]
-                    d2 = np.einsum("ij,ij->i", diff, diff)
-                    self.cc += len(item.rows)
-                    for row, dd in zip(item.rows, d2):
-                        counter += 1
-                        heapq.heappush(heap, (float(dd), counter, int(row)))
-                else:
-                    for ch in item.children:
-                        counter += 1
-                        self.cc += 1
-                        heapq.heappush(heap, (_mindist2(q, ch.lo, ch.hi), counter, ch))
-            else:
-                yield int(item), float(np.sqrt(key))
-
-    # ---- introspection ---------------------------------------------------
-    def nodes(self) -> list[_RNode]:
-        acc: list[_RNode] = []
-
-        def rec(nd: _RNode) -> None:
-            acc.append(nd)
-            for ch in nd.children:
-                rec(ch)
-
-        rec(self.root)
-        return acc
-
+    # ---- test hook -------------------------------------------------------
     def check_invariants(self) -> None:
-        def rec(nd: _RNode) -> np.ndarray:
-            if nd.is_leaf:
-                rows = nd.rows
-            else:
-                rows = np.concatenate([rec(ch) for ch in nd.children])
-            pts = self.X[rows]
-            assert np.all(pts >= nd.lo[None, :] - 1e-12), "MBR lo violated"
-            assert np.all(pts <= nd.hi[None, :] + 1e-12), "MBR hi violated"
-            return rows
-
-        rows = rec(self.root)
-        assert len(np.unique(rows)) == len(self.X), "tree must cover every point once"
+        """Assert the layout and that every MBR contains its points."""
+        n_nodes = len(self.n_children)
+        kids = _ranges(self.first_child, self.first_child + self.n_children)
+        assert np.array_equal(kids, np.arange(1, n_nodes)), "children not in BFS order"
+        for i in range(n_nodes):
+            pts = self.points[self.lo[i]:self.hi[i]]
+            assert len(pts) and np.all(pts >= self.mbr_lo[i]) \
+                and np.all(pts <= self.mbr_hi[i]), "MBR must contain its points"
+            if self.n_children[i]:
+                ch = slice(self.first_child[i], self.first_child[i] + self.n_children[i])
+                assert self.lo[ch][0] == self.lo[i] and self.hi[ch][-1] == self.hi[i] \
+                    and np.array_equal(self.lo[ch][1:], self.hi[ch][:-1]), \
+                    "children must tile their parent's points"
+        assert self.lo[0] == 0 and self.hi[0] == len(self.points)
+        assert np.array_equal(np.sort(self.perm), np.arange(len(self.perm))), \
+            "tree must cover every point once"

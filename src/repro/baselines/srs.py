@@ -7,20 +7,19 @@ distance, until either
 
 - the early-termination test fires: with ``Delta`` the projected distance
   of the next point and ``d_k`` the current k-th best true distance, stop
-  when ``Pr[chi2(m) <= m? no — (c*Delta/d_k)^2] >= p'_tau`` — i.e. an
+  when ``Pr[chi2(m) <= (c*Delta/d_k)^2] >= p'_tau`` — i.e. an
   unseen point is unlikely to beat ``d_k / c``; or
 - a maximum fraction ``T`` of the dataset has been examined.
 
 Distributed layout: the same projected/partitioned blobs as PM-LSH, but
 each partition answers a probe by *sorting* its points by projected
 distance and emitting its cheapest ``T * n_i + k`` candidates with true
-distances (the per-partition equivalent of the R-tree incSearch stream).
-The driver merges the streams in projected-distance order and replays
-SRS's incremental scan with the stopping rule — the probe order and
-examined set match the single-machine algorithm; only the true-distance
-evaluation is batched per partition. The R-tree cost character of
-incSearch (O(log n) per next-NN) is measured separately in Table 2's
-cost model; Table 4 timing reflects this vectorized emulation.
+distances, in place of SRS's R-tree incremental NN search. The driver
+merges the streams in projected-distance order and replays SRS's
+incremental scan with the stopping rule — the probe order and examined
+set match the single-machine algorithm; only the true-distance evaluation
+is batched per partition. Table 4 timing reflects this vectorized
+emulation, not an R-tree's O(log n) per next NN.
 """
 from __future__ import annotations
 

@@ -32,15 +32,13 @@ class ConfidenceInterval:
     beta: float
 
     @classmethod
-    def derive(cls, m: int = 15, c: float = 1.5, alpha1: float = 1.0 / math.e,
-               beta_factor: float = 2.0) -> "ConfidenceInterval":
-        """Solve Eq. 10 for t and alpha2, then set beta = beta_factor * alpha2.
+    def derive(cls, m: int = 15, c: float = 1.5,
+               alpha1: float = 1.0 / math.e) -> "ConfidenceInterval":
+        """Solve Eq. 10 for t and alpha2, then set beta = 2 * alpha2 (Lemma 5).
 
         ``t^2 = chi2_{alpha1}(m)`` fixes t from the true-positive side;
-        ``chi2_{1-alpha2}(m) = t^2 / c^2`` then gives
-        ``alpha2 = 1 - SF(t^2/c^2) = CDF(t^2/c^2)`` ... careful: by the
-        upper-quantile definition chi2_{1-alpha2}(m) = x means the upper
-        tail beyond x has mass 1 - alpha2, i.e. CDF(x) = alpha2.
+        ``chi2_{1-alpha2}(m) = t^2 / c^2`` is the point whose upper tail has
+        mass 1 - alpha2, so ``alpha2 = CDF(t^2 / c^2; m)``.
         """
         if not (0.0 < alpha1 < 1.0):
             raise ValueError(f"alpha1 must be in (0,1), got {alpha1}")
@@ -48,11 +46,8 @@ class ConfidenceInterval:
             raise ValueError(f"approximation ratio c must exceed 1, got {c}")
         t2 = chi2_upper_quantile(alpha1, m)
         t = math.sqrt(t2)
-        # chi2_{1-alpha2}(m) = t^2/c^2 with upper-tail mass 1-alpha2
-        # => CDF(t^2/c^2; m) = alpha2.
         alpha2 = chi2_cdf(t2 / (c * c), m)
-        return cls(m=m, c=c, alpha1=alpha1, t=t, alpha2=alpha2,
-                   beta=beta_factor * alpha2)
+        return cls(m=m, c=c, alpha1=alpha1, t=t, alpha2=alpha2, beta=2.0 * alpha2)
 
     def projected_radius(self, r: float) -> float:
         """The projected-space search radius t*r for original radius r."""

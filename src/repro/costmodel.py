@@ -69,10 +69,6 @@ def marginal_cdfs(X: np.ndarray) -> list[np.ndarray]:
     return [np.sort(X[:, i]) for i in range(X.shape[1])]
 
 
-def _G(sorted_col: np.ndarray, x: float) -> float:
-    return float(np.searchsorted(sorted_col, x, side="right") / len(sorted_col))
-
-
 def isochoric_cube_side(rq: float, m: int) -> float:
     """Side of the m-cube with the same volume as the radius-``rq`` m-ball."""
     vol_unit_ball = math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
@@ -88,15 +84,15 @@ def cc_pmtree(tree: PMTree, rq: float, F: DistanceDistribution) -> float:
 
 def cc_rtree(tree: RTree, rq: float, G: list[np.ndarray]) -> float:
     """Expected distance computations of ``range(q, rq)`` on the R-tree (Eq. 9)."""
-    m = tree.X.shape[1]
-    l = isochoric_cube_side(rq, m)
-    total = 0.0
-    for node in tree.nodes():
-        pr = 1.0
-        for i in range(m):
-            pr *= max(0.0, _G(G[i], node.hi[i] + l) - _G(G[i], node.lo[i] - l))
-        total += node.n_entries() * pr
-    return total
+    l = isochoric_cube_side(rq, len(G))
+
+    def cdf(x: np.ndarray) -> np.ndarray:
+        """``G_i(x[:, i])`` for every node and dimension."""
+        return np.stack([np.searchsorted(g, col, side="right") for g, col in zip(G, x.T)],
+                        axis=1) / len(G[0])
+
+    sides = np.maximum(0.0, cdf(tree.mbr_hi + l) - cdf(tree.mbr_lo - l))
+    return float(np.sum(tree.entries * np.prod(sides, axis=1)))
 
 
 def radius_for_fraction(F: DistanceDistribution, fraction: float) -> float:

@@ -7,10 +7,8 @@ the ``benchmarks/`` suite share. Results are also dumped as JSON under
 """
 import json
 import os
-import time
-from contextlib import contextmanager
 
-__all__ = ["save_result", "timer"]
+__all__ = ["save_result"]
 
 
 def save_result(name: str, payload) -> str:
@@ -21,12 +19,3 @@ def save_result(name: str, payload) -> str:
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, default=float)
     return path
-
-
-@contextmanager
-def timer():
-    """Context manager yielding a dict with the elapsed wall time in 'sec'."""
-    box = {}
-    t0 = time.perf_counter()
-    yield box
-    box["sec"] = time.perf_counter() - t0

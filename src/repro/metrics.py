@@ -7,7 +7,8 @@ For a (c,k)-ANN result R = <o_1..o_k> and exact kNNs R* = <o*_1..o*_k>::
 
 Both take the *distances* (already computed by the algorithms), so ties in
 distance do not penalize recall: a returned point at exactly the distance
-of the i-th true NN counts as a hit even if its id differs.
+of the i-th true NN counts as a hit even if its id differs, as long as it
+has not already counted as a hit by its own id.
 """
 from __future__ import annotations
 
@@ -39,16 +40,22 @@ def overall_ratio(result_dists: np.ndarray, exact_dists: np.ndarray) -> float:
 def recall(result_ids: np.ndarray, exact_ids: np.ndarray,
            result_dists: np.ndarray | None = None,
            exact_dists: np.ndarray | None = None) -> float:
-    """|R intersect R*| / |R*|, with distance-tie credit when dists given."""
-    rset = set(int(i) for i in np.asarray(result_ids).ravel())
-    hits = 0
+    """|R intersect R*| / |R*|, with distance-tie credit when dists given.
+
+    Each returned point credits at most one exact neighbour: its own id,
+    or else one exact neighbour left unmatched by id whose distance it ties.
+    """
+    result_ids = np.asarray(result_ids).ravel()
     exact_ids = np.asarray(exact_ids).ravel()
-    for j, eid in enumerate(exact_ids):
-        if int(eid) in rset:
-            hits += 1
-        elif result_dists is not None and exact_dists is not None:
-            # tie: some returned point has exactly the true i-th NN distance
-            if np.any(np.isclose(result_dists, exact_dists[j], rtol=1e-9, atol=1e-12)):
+    by_id = np.isin(exact_ids, result_ids)
+    hits = int(by_id.sum())
+    if result_dists is not None and exact_dists is not None:
+        # returned points not matched by id, each usable for one tie
+        free = list(np.asarray(result_dists)[~np.isin(result_ids, exact_ids)])
+        for j in np.flatnonzero(~by_id):
+            tie = np.flatnonzero(np.isclose(free, exact_dists[j], rtol=1e-9, atol=1e-12))
+            if len(tie):
+                del free[tie[0]]
                 hits += 1
     return hits / len(exact_ids)
 

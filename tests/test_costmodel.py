@@ -79,7 +79,7 @@ def test_cc_estimates_positive_and_bounded(projected_data, F):
     # total entries over all nodes is ~ n * (1 + 1/cap + ...) < 1.2 n per
     # level count; the model cannot exceed visiting everything
     total_pm = pm.entries.sum()
-    total_rt = sum(nd.n_entries() for nd in rt.nodes())
+    total_rt = rt.entries.sum()
     assert cc_pm <= total_pm
     assert cc_rt <= total_rt
 

@@ -1,5 +1,5 @@
-"""Golden equality: the PM-tree range query and cost model return exactly
-the pinned results.
+"""Golden equality: the PM-tree's and the R-tree's range queries and cost
+models return exactly the pinned results.
 
 ``tests/golden_pmtree.npz`` holds, for Deep and Audio projections (m=15,
 s=5 pivots, capacity 16, 2,500 points, 20 held-out queries) at three
@@ -35,6 +35,22 @@ Generating snippet::
             out[f"{key}_nodes"] = np.array(nodes)
             out[f"{key}_model"] = np.float64(cc_pmtree(tree, r, F_proj))
     np.savez_compressed("tests/golden_pmtree.npz", **out)
+
+``tests/golden_rtree.npz`` holds the same for the STR R-tree (capacity
+16) over the same projections, queries and radii, with ``cc_rtree`` as the
+model value. R-LSH ranks through ``(dist, id)`` and Table 2 reads only
+counts, so row order is not part of the R-tree's contract: each answer is
+stored with its rows sorted ascending. It was generated once, before the
+R-tree was stored as flat arrays, and must never be regenerated either.
+Generating snippet (same loop as above, with these lines changed)::
+
+    tree, G = RTree(P, capacity=16), marginal_cdfs(P)
+    r = float(golden_pmtree[f"{key}_radius"])
+    order = np.argsort(got_rows)
+    rows.append(got_rows[order])
+    dists.append(got_dists[order])
+    out[f"{key}_model"] = np.float64(cc_rtree(tree, r, G))
+    np.savez_compressed("tests/golden_rtree.npz", **out)
 """
 from pathlib import Path
 
@@ -42,11 +58,13 @@ import numpy as np
 import pytest
 
 from repro import datasets
+from repro.baselines.rtree import RTree
 from repro.core.pmtree import PMTree
 from repro.core.projection import GaussianProjection
-from repro.costmodel import DistanceDistribution, cc_pmtree
+from repro.costmodel import DistanceDistribution, cc_pmtree, cc_rtree, marginal_cdfs
 
 GOLDEN = Path(__file__).with_name("golden_pmtree.npz")
+GOLDEN_RTREE = Path(__file__).with_name("golden_rtree.npz")
 DATASETS = ("Deep", "Audio")
 SCALES = {"half": 0.5, "tab4": 1.0, "double": 2.0}
 N = 2500
@@ -68,9 +86,20 @@ def golden():
     return dict(np.load(GOLDEN))
 
 
+@pytest.fixture(scope="module")
+def golden_rtree():
+    return dict(np.load(GOLDEN_RTREE))
+
+
 @pytest.fixture(scope="module", params=DATASETS)
 def case(request):
     return request.param, _setup(request.param)
+
+
+@pytest.fixture(scope="module")
+def rtree_case(case):
+    name, (P, QP, _, _, _) = case
+    return name, QP, RTree(P, capacity=16), marginal_cdfs(P)
 
 
 @pytest.mark.parametrize("tag", SCALES)
@@ -94,4 +123,31 @@ def test_golden_cost_model(case, tag, golden):
     key = f"{name}_{tag}"
     r = float(golden[f"{key}_radius"])
     np.testing.assert_allclose(cc_pmtree(tree, r, F_proj), golden[f"{key}_model"],
+                               rtol=1e-12)
+
+
+@pytest.mark.parametrize("tag", SCALES)
+def test_golden_rtree_range_query(rtree_case, tag, golden_rtree):
+    name, QP, tree, _ = rtree_case
+    key = f"{name}_{tag}"
+    r = float(golden_rtree[f"{key}_radius"])
+    off = golden_rtree[f"{key}_offsets"]
+    for i, qp in enumerate(QP):
+        tree.reset_counters()
+        rows, dists = tree.range_query(qp, r)
+        order = np.argsort(rows)
+        np.testing.assert_array_equal(rows[order],
+                                      golden_rtree[f"{key}_rows"][off[i]:off[i + 1]])
+        np.testing.assert_array_equal(dists[order],
+                                      golden_rtree[f"{key}_dists"][off[i]:off[i + 1]])
+        assert tree.cc == golden_rtree[f"{key}_cc"][i]
+        assert tree.nodes_accessed == golden_rtree[f"{key}_nodes"][i]
+
+
+@pytest.mark.parametrize("tag", SCALES)
+def test_golden_rtree_cost_model(rtree_case, tag, golden_rtree):
+    name, _, tree, G = rtree_case
+    key = f"{name}_{tag}"
+    r = float(golden_rtree[f"{key}_radius"])
+    np.testing.assert_allclose(cc_rtree(tree, r, G), golden_rtree[f"{key}_model"],
                                rtol=1e-12)

@@ -77,6 +77,18 @@ def test_recall_no_tie_credit_when_distances_differ():
     assert r == 0.5
 
 
+def test_recall_tie_credit_used_once_per_returned_point():
+    # returned id 0 already matches exact id 0; its distance also ties
+    # exact id 1, but one returned point credits at most one neighbour
+    r = recall(
+        np.array([0, 2]),
+        np.array([0, 1]),
+        result_dists=np.array([1.0, 5.0]),
+        exact_dists=np.array([1.0, 1.0]),
+    )
+    assert r == 0.5
+
+
 def test_summarize_averages():
     res = [(np.array([1, 2]), np.array([1.0, 2.0])),
            (np.array([5, 6]), np.array([2.0, 2.0]))]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.rtree import RTree
 from repro.core.pmtree import PMTree, select_pivots
 
 
@@ -125,11 +126,12 @@ def test_nodes_enumeration_covers_all_leaf_entries(tree_and_data):
 
 
 def test_pickled_tree_holds_only_arrays_and_scalars(tree_and_data):
-    tree, _ = tree_and_data
-    state = vars(pickle.loads(pickle.dumps(tree)))
-    assert state
-    for name, value in state.items():
-        assert isinstance(value, (np.ndarray, int, float, np.number)), name
+    pm, X = tree_and_data
+    for tree in (pm, RTree(X, capacity=16)):
+        state = vars(pickle.loads(pickle.dumps(tree)))
+        assert state
+        for name, value in state.items():
+            assert isinstance(value, (np.ndarray, int, float, np.number)), name
 
 
 def test_select_pivots_spread():
