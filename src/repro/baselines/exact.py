@@ -17,6 +17,8 @@ from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 from pyspark.sql.window import Window
 
+from repro.core.partindex import skip_spark_archive_rereads
+
 __all__ = ["exact_knn", "exact_knn_arrays", "TOPK_SCHEMA"]
 
 TOPK_SCHEMA = StructType(
@@ -39,6 +41,7 @@ def exact_knn(vectors: DataFrame, Q: np.ndarray, k: int) -> DataFrame:
     q_sq = np.einsum("ij,ij->i", Qm, Qm)
 
     def _local_topk(batches):
+        skip_spark_archive_rereads()
         for pdf in batches:
             if len(pdf) == 0:
                 continue

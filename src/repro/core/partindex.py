@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import os
 import pickle
+import sys
 import uuid
+import zipimport
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,7 +42,8 @@ from pyspark.sql.types import (
     StructType,
 )
 
-__all__ = ["PartitionedIndex", "load_blob", "default_index_root"]
+__all__ = ["PartitionedIndex", "load_blob", "default_index_root",
+           "skip_spark_archive_rereads"]
 
 META_SCHEMA = StructType(
     [
@@ -54,6 +57,37 @@ META_SCHEMA = StructType(
 # Per-worker-process blob cache; keyed by file path (paths embed a uuid,
 # so a rebuilt index never aliases a stale cache entry).
 _BLOB_CACHE: dict[str, dict] = {}
+
+
+def skip_spark_archive_rereads() -> None:
+    """Stop ``importlib.invalidate_caches()`` from re-reading Spark's archives.
+
+    PySpark calls ``importlib.invalidate_caches()`` at the start of every
+    task, and on CPython < 3.13 each ``zipimport.zipimporter`` then re-reads
+    its archive's whole directory. A worker holds 16 of them, over
+    ``pyspark.zip``, the py4j zip and the ``spark-core`` jar, which do not
+    change while Spark runs. This wraps ``zipimporter.invalidate_caches``
+    once per process so that it skips archives whose real path lies under
+    the real ``$SPARK_HOME``; every other archive is still re-read. It does
+    nothing without ``SPARK_HOME`` or on Python >= 3.13, whose
+    ``invalidate_caches`` only drops the cache entry.
+
+    Call it first in every function handed to Spark: Python workers are
+    reused, so from a worker's second task on the re-read is skipped.
+    """
+    home = os.environ.get("SPARK_HOME")
+    invalidate = zipimport.zipimporter.invalidate_caches
+    if (sys.version_info >= (3, 13) or not home
+            or getattr(invalidate, "skips_spark_archives", False)):
+        return
+    spark_root = os.path.join(os.path.realpath(home), "")
+
+    def invalidate_caches(self):
+        if not os.path.realpath(self.archive).startswith(spark_root):
+            invalidate(self)
+
+    invalidate_caches.skips_spark_archives = True
+    zipimport.zipimporter.invalidate_caches = invalidate_caches
 
 
 def load_blob(path: str) -> dict:
@@ -103,6 +137,7 @@ class PartitionedIndex:
         os.makedirs(index_dir, exist_ok=True)
 
         def _build(key, pdf):  # untyped: lets Spark infer the grouped-map eval type
+            skip_spark_archive_rereads()
             pid = int(key[0])
             ids = pdf["id"].to_numpy(dtype=np.int64)
             blob, summary = build_fn(ids, np.stack(pdf["proj"].to_numpy()),
@@ -148,6 +183,7 @@ class PartitionedIndex:
             meta = meta.where(meta.pid.isin(list(wanted)))
 
         def _probe(batches):
+            skip_spark_archive_rereads()
             for pdf in batches:
                 for _, row in pdf.iterrows():
                     blob = load_blob(row["path"])

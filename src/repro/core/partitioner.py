@@ -14,6 +14,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql.types import IntegerType, StructField, StructType
 
+from repro.core.partindex import skip_spark_archive_rereads
 from repro.core.projection import PROJECTED_SCHEMA
 
 __all__ = ["kmeans", "assign_partitions", "ASSIGNED_SCHEMA"]
@@ -57,6 +58,7 @@ def assign_partitions(projected: DataFrame, centers: np.ndarray) -> DataFrame:
     c_sq = np.einsum("ij,ij->i", C, C)
 
     def _assign(batches):
+        skip_spark_archive_rereads()
         for pdf in batches:
             if len(pdf) == 0:
                 continue

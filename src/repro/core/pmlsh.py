@@ -55,7 +55,7 @@ from repro.core.confidence import ConfidenceInterval
 from repro.core.partindex import PartitionedIndex
 from repro.core.partitioner import assign_partitions, kmeans
 from repro.core.pmtree import PMTree, select_pivots
-from repro.core.projection import GaussianProjection
+from repro.core.projection import GaussianProjection, vector_dim
 from repro.costmodel import DistanceDistribution
 
 __all__ = ["PMLSH", "CAND_SCHEMA", "build_preamble", "query_matrix",
@@ -96,11 +96,9 @@ def build_preamble(vectors: DataFrame,
     clustered. A seeded driver-side sample of at most ``sample_size``
     points feeds k-means and, if ``with_F``, the distance distribution.
     """
-    first = vectors.select("vec").first()
-    if first is None:
-        raise ValueError("cannot build an index over an empty DataFrame")
+    d = vector_dim(vectors)
     n = vectors.count()
-    proj = make_proj(len(first["vec"]), n)
+    proj = make_proj(d, n)
     projected = proj.transform(vectors)
     frac = min(1.0, (3.0 * sample_size) / n)
     rows = projected.sample(fraction=frac, seed=seed).limit(sample_size).collect()

@@ -22,7 +22,9 @@ from pyspark.sql.types import (
     StructType,
 )
 
-__all__ = ["GaussianProjection", "VECTOR_SCHEMA", "PROJECTED_SCHEMA"]
+from repro.core.partindex import skip_spark_archive_rereads
+
+__all__ = ["GaussianProjection", "VECTOR_SCHEMA", "PROJECTED_SCHEMA", "vector_dim"]
 
 VECTOR_SCHEMA = StructType(
     [
@@ -38,6 +40,15 @@ PROJECTED_SCHEMA = StructType(
         StructField("proj", ArrayType(DoubleType(), False), False),
     ]
 )
+
+
+def vector_dim(vectors: DataFrame) -> int:
+    """Length of the first ``vec``; ``ValueError`` on an empty DataFrame,
+    so that no further Spark job starts on it."""
+    first = vectors.select("vec").first()
+    if first is None:
+        raise ValueError("expected a non-empty vector DataFrame")
+    return len(first["vec"])
 
 
 class GaussianProjection:
@@ -82,6 +93,7 @@ class GaussianProjection:
         A = self.A
 
         def _proj(batches):
+            skip_spark_archive_rereads()
             for pdf in batches:
                 if len(pdf) == 0:
                     continue

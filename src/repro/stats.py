@@ -23,6 +23,9 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
+from repro.core.partindex import skip_spark_archive_rereads
+from repro.core.projection import vector_dim
+
 __all__ = [
     "pairwise_distances_spark",
     "homogeneity_of_viewpoints",
@@ -50,6 +53,7 @@ def pairwise_distances_spark(vectors: DataFrame, Q: np.ndarray) -> DataFrame:
     q_sq = np.sum(Qm * Qm, axis=1)
 
     def _dist(batches):
+        skip_spark_archive_rereads()
         for pdf in batches:
             if len(pdf) == 0:
                 continue
@@ -144,8 +148,8 @@ def local_intrinsic_dimensionality(vectors: DataFrame, *, n_query: int = 50,
 
 def dataset_stats(vectors: DataFrame, **kw) -> dict[str, float]:
     """n, d, HV, RC and LID for a vector DataFrame (Table 3 row)."""
+    d = vector_dim(vectors)
     n = vectors.count()
-    d = len(vectors.select("vec").first()["vec"])
     return {
         "n": n,
         "d": d,

@@ -116,3 +116,11 @@ def test_dataset_stats_keys(spark):
     assert 0 <= out["hv"] <= 1
     assert out["rc"] > 1
     assert out["lid"] > 0
+
+
+def test_dataset_stats_rejects_empty_dataframe(spark):
+    from repro.core.projection import VECTOR_SCHEMA
+
+    empty = spark.createDataFrame([], schema=VECTOR_SCHEMA)
+    with pytest.raises(ValueError, match="non-empty"):
+        dataset_stats(empty)
