@@ -18,6 +18,7 @@ from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 from pyspark.sql.window import Window
 
 from repro.core.partindex import skip_spark_archive_rereads
+from repro.core.pmlsh import _group_by_qid
 
 __all__ = ["exact_knn", "exact_knn_arrays", "TOPK_SCHEMA"]
 
@@ -35,9 +36,7 @@ def exact_knn(vectors: DataFrame, Q: np.ndarray, k: int) -> DataFrame:
 
     Ties beyond rank k are broken by ``id`` so the result is deterministic.
     """
-    Qm = np.asarray(Q, dtype=np.float64)
-    if Qm.ndim == 1:
-        Qm = Qm[None, :]
+    Qm = np.atleast_2d(np.asarray(Q, dtype=np.float64))
     q_sq = np.einsum("ij,ij->i", Qm, Qm)
 
     def _local_topk(batches):
@@ -46,25 +45,16 @@ def exact_knn(vectors: DataFrame, Q: np.ndarray, k: int) -> DataFrame:
             if len(pdf) == 0:
                 continue
             X = np.stack(pdf["vec"].to_numpy())
-            ids = pdf["id"].to_numpy(dtype=np.int64)
             x_sq = np.einsum("ij,ij->i", X, X)
             d2 = q_sq[:, None] + x_sq[None, :] - 2.0 * (Qm @ X.T)
-            np.maximum(d2, 0.0, out=d2)
-            kk = min(k, d2.shape[1])
-            part = np.argpartition(d2, kk - 1, axis=1)[:, :kk]
-            out = []
-            for qi in range(len(Qm)):
-                sel = part[qi]
-                out.append(
-                    pd.DataFrame(
-                        {
-                            "qid": np.full(kk, qi, dtype=np.int64),
-                            "id": ids[sel],
-                            "dist": np.sqrt(d2[qi, sel]),
-                        }
-                    )
-                )
-            yield pd.concat(out, ignore_index=True)
+            dist = np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
+            # every row up to the k-th smallest distance, ties included, so
+            # that the window's id tie-break sees all rows that can rank
+            kk = min(k, dist.shape[1])
+            kth = np.partition(dist, kk - 1, axis=1)[:, kk - 1]
+            qid, col = np.nonzero(dist <= kth[:, None])
+            ids = pdf["id"].to_numpy(dtype=np.int64)
+            yield pd.DataFrame({"qid": qid, "id": ids[col], "dist": dist[qid, col]})
 
     local = vectors.mapInPandas(_local_topk, schema=TOPK_SCHEMA)
     w = Window.partitionBy("qid").orderBy(F.col("dist").asc(), F.col("id").asc())
@@ -77,12 +67,9 @@ def exact_knn(vectors: DataFrame, Q: np.ndarray, k: int) -> DataFrame:
 def exact_knn_arrays(vectors: DataFrame, Q: np.ndarray, k: int
                      ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exact kNN as ``[(ids, dists), ...]`` per query, ranked ascending."""
-    pdf = exact_knn(vectors, Q, k).toPandas().sort_values(["qid", "rank"])
+    pdf = exact_knn(vectors, Q, k).toPandas().sort_values("rank")
+    ids = pdf["id"].to_numpy(dtype=np.int64)
+    dist = pdf["dist"].to_numpy(dtype=np.float64)
     nq = len(np.atleast_2d(np.asarray(Q)))
-    out = []
-    for qi in range(nq):
-        grp = pdf[pdf["qid"] == qi]
-        out.append(
-            (grp["id"].to_numpy(dtype=np.int64), grp["dist"].to_numpy(dtype=np.float64))
-        )
-    return out
+    order, bounds = _group_by_qid(pdf["qid"].to_numpy(dtype=np.int64), nq)
+    return [(ids[g], dist[g]) for g in np.split(order, bounds[1:-1])]

@@ -30,7 +30,6 @@ from repro.core.partindex import PartitionedIndex
 from repro.core.pmlsh import (
     CAND_SCHEMA,
     Result,
-    _cand_frame,
     _group_by_qid,
     _topk,
     _verified,
@@ -39,7 +38,7 @@ from repro.core.pmlsh import (
 )
 from repro.core.projection import GaussianProjection
 
-__all__ = ["MultiProbe", "probe_sequence"]
+__all__ = ["MultiProbe", "bucket_table", "probe_sequence", "probe_tables"]
 
 W_QUANTILE = 0.5  # bucket width w = this quantile of the distance distribution
 
@@ -61,9 +60,6 @@ def probe_sequence(f: np.ndarray, w: float, n_probe: int) -> list[tuple[int, ...
         + [(float((w - x_low[j]) ** 2), j, +1) for j in range(m)]
     )
     scores = [p[0] for p in perts]
-
-    def total(idx_set: tuple[int, ...]) -> float:
-        return sum(scores[i] for i in idx_set)
 
     def valid(idx_set: tuple[int, ...]) -> bool:
         seen = set()
@@ -100,13 +96,53 @@ def probe_sequence(f: np.ndarray, w: float, n_probe: int) -> list[tuple[int, ...
     return out
 
 
+def _row_keys(B: np.ndarray) -> np.ndarray:
+    """One ``np.void`` key per row of the int matrix ``B``: keys are equal
+    exactly when rows are, and sort and ``searchsorted`` by their bytes."""
+    B = np.ascontiguousarray(B, dtype=np.int64)
+    return B.view(np.dtype((np.void, B.itemsize * B.shape[1]))).ravel()
+
+
+def bucket_table(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One hash table over the rows of the ``(n, m)`` bucket matrix ``B``.
+
+    Returns ``(keys, offsets, rows)``: the distinct bucket rows in key
+    order, and CSR offsets such that bucket ``keys[b]`` holds the rows
+    ``rows[offsets[b]:offsets[b + 1]]``, in ascending order.
+    """
+    B = np.asarray(B, dtype=np.int64)
+    rows = np.argsort(_row_keys(B), kind="stable")
+    key = _row_keys(B)[rows]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    return B[rows[starts]], np.append(starts, len(rows)), rows
+
+
+def probe_tables(tables: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                 probes: list[tuple[np.ndarray, np.ndarray]], n: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """``(qid, row)`` for every row in a bucket that query ``qid`` probes in
+    some table, each pair once, sorted by qid and then row. ``tables[t]`` is
+    a :func:`bucket_table` over ``n`` rows, and ``probes[t]`` is ``(buckets,
+    qid)``: an ``(n_probes, m)`` int matrix and the query of each bucket."""
+    pairs = []
+    for (keys, offsets, rows), (buckets, qid) in zip(tables, probes):
+        keys, want = _row_keys(keys), _row_keys(buckets)
+        at = np.searchsorted(keys, want).clip(max=len(keys) - 1)
+        found = keys[at] == want
+        start = offsets[at[found]]
+        count = offsets[at[found] + 1] - start
+        # CSR gather: the rows start, ..., start + count - 1 of each found bucket
+        idx = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+        pairs.append(np.repeat(qid[found], count) * n + rows[idx])
+    return np.divmod(np.unique(np.concatenate(pairs)), n)
+
+
 @dataclass
 class MultiProbe:
     spark: SparkSession
     projections: list[GaussianProjection]   # one per table
     index: PartitionedIndex
     n: int
-    w: float
     n_probe: int
 
     @classmethod
@@ -124,55 +160,31 @@ class MultiProbe:
             for t in range(L)
         ]
 
-        def _build(ids: np.ndarray, P: np.ndarray, X: np.ndarray
-                   ) -> tuple[dict, dict]:
-            tables = []
-            for proj_t in projections:
-                B = proj_t.buckets(X)          # (n_i, m_mp) int64
-                table: dict[tuple[int, ...], np.ndarray] = {}
-                keys = [tuple(row) for row in B]
-                by_key: dict[tuple[int, ...], list[int]] = {}
-                for i, kk in enumerate(keys):
-                    by_key.setdefault(kk, []).append(i)
-                for kk, rows in by_key.items():
-                    table[kk] = np.asarray(rows, dtype=np.int64)
-                tables.append(table)
-            return {"tables": tables, "X": X, "ids": ids}, {}
+        def _build(ids, P, X):
+            return {"tables": [bucket_table(p.buckets(X)) for p in projections],
+                    "X": X, "ids": ids}, {}
 
         index = PartitionedIndex.build(spark, pre.assigned, _build, name="multiprobe")
         return cls(spark=spark, projections=projections, index=index, n=pre.n,
-                   w=w, n_probe=n_probe)
+                   n_probe=n_probe)
 
     # ------------------------------------------------------------------
     def query_batch(self, Q: np.ndarray, k: int = 50) -> list[Result]:
         Q = query_matrix(Q, k, self.n)
-        # driver-side probing sequences: tiny (L * n_probe buckets per query)
-        plans: dict[int, list[list[tuple[int, ...]]]] = {}
-        for qi, q in enumerate(Q):
-            per_table = []
-            for proj_t in self.projections:
-                f = (proj_t.project(q)[0] + proj_t.b)
-                per_table.append(probe_sequence(f, proj_t.w, self.n_probe))
-            plans[qi] = per_table
-        QV = Q
+        # driver-side probing sequences: tiny (L * n_probe buckets per query),
+        # stacked per table with the query each bucket belongs to
+        probes = []
+        for p in self.projections:
+            seqs = [probe_sequence(p.project(q)[0] + p.b, p.w, self.n_probe) for q in Q]
+            probes.append((np.array([b for seq in seqs for b in seq], dtype=np.int64),
+                           np.repeat(np.arange(len(Q)), [len(seq) for seq in seqs])))
 
-        def _probe(blob: dict, summary: dict, pid: int) -> pd.DataFrame | None:
-            tables, X, ids = blob["tables"], blob["X"], blob["ids"]
-            parts = []
-            for qi, per_table in plans.items():
-                rows_acc: list[np.ndarray] = []
-                for t, buckets in enumerate(per_table):
-                    tab = tables[t]
-                    for bk in buckets:
-                        hit = tab.get(bk)
-                        if hit is not None:
-                            rows_acc.append(hit)
-                if not rows_acc:
-                    continue
-                rows = np.unique(np.concatenate(rows_acc))
-                parts.append((qi, ids[rows], np.zeros(len(rows)),
-                              _verified(X, rows, QV[qi])))
-            return _cand_frame(parts)
+        def _probe(blob: dict, summary: dict, pid: int) -> pd.DataFrame:
+            ids = blob["ids"]
+            qid, rows = probe_tables(blob["tables"], probes, len(ids))
+            return pd.DataFrame({"qid": qid, "id": ids[rows],
+                                 "pdist": np.zeros(len(rows)),
+                                 "dist": _verified(blob["X"], rows, Q[qid])})
 
         got = self.index.probe(_probe, schema=CAND_SCHEMA).toPandas()
         all_ids = got["id"].to_numpy(dtype=np.int64)

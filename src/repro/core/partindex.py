@@ -4,8 +4,8 @@ Every distributed index in this repo (PM-LSH, R-LSH, SRS, QALSH,
 Multi-Probe) follows the same dataflow:
 
 1. *build* — ``applyInPandas`` over points grouped by ``pid`` runs an
-   index-specific ``build_fn`` whose output (a picklable dict, typically
-   holding NumPy matrices plus a tree/hash structure) is written to
+   index-specific ``build_fn`` whose output (a picklable dict of NumPy
+   arrays, or of flat trees made only of them) is written to
    ``<index_dir>/part-<pid>.pkl``. Only a tiny meta row (pid, path,
    count, pickled summary) flows back through Spark.
 2. *probe* — ``mapInPandas`` over the meta DataFrame (a small local

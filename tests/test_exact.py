@@ -5,6 +5,7 @@ import pytest
 
 from repro import datasets
 from repro.baselines.exact import exact_knn, exact_knn_arrays
+from repro.core.projection import VECTOR_SCHEMA
 from repro.oracle import assert_equivalent
 
 
@@ -77,3 +78,19 @@ def test_exact_knn_single_query_vector(data):
     df, X, Q = data
     res = exact_knn_arrays(df, Q[0], k=3)
     assert len(res) == 1 and len(res[0][0]) == 3
+
+
+def test_ties_within_one_partition_break_by_id(spark):
+    """More rows than k tie at the k-th distance inside one partition, with
+    ids not in row order: the answer is the ``(dist, id)`` sort, not
+    whichever tied rows the partition happens to keep."""
+    X = np.array([[5.0], [1.0], [-1.0], [1.0], [-1.0], [0.0]])
+    ids = np.array([10, 4, 3, 2, 1, 0], dtype=np.int64)
+    df = spark.createDataFrame(pd.DataFrame({"id": ids, "vec": list(X)}),
+                               schema=VECTOR_SCHEMA).coalesce(1)
+    for k in (2, 3, 5):
+        got_ids, got_dist = exact_knn_arrays(df, np.zeros((1, 1)), k)[0]
+        d = np.abs(X[:, 0])
+        order = np.lexsort((ids, d))[:k]
+        np.testing.assert_array_equal(got_ids, ids[order])
+        np.testing.assert_array_equal(got_dist, d[order])

@@ -1,5 +1,6 @@
 """Tests for the partitioned-index substrate (build blobs + probe)."""
 import os
+import pickle
 
 import numpy as np
 import pandas as pd
@@ -116,3 +117,33 @@ def test_distinct_builds_get_distinct_dirs(spark, built):
         name="test",
     )
     assert idx2.index_dir != idx.index_dir
+
+
+def _leaves(obj, where="blob"):
+    """Every leaf of a blob, descending into str-keyed dicts, lists, tuples
+    and the attributes of plain objects (the flat trees)."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            assert isinstance(key, str), f"{where} has key {key!r}"
+            yield from _leaves(value, f"{where}[{key!r}]")
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, f"{where}[{i}]")
+    elif hasattr(obj, "__dict__"):
+        yield from _leaves(vars(obj), f"{where}.vars")
+    else:
+        yield where, obj
+
+
+@pytest.mark.parametrize(
+    "fixture", ["pmlsh_index", "rlsh_index", "srs_index", "qalsh_index", "mp_index"])
+def test_index_blobs_hold_only_arrays_and_scalars(fixture, request):
+    index = request.getfixturevalue(fixture).index
+    paths = [os.path.join(index.index_dir, f) for f in os.listdir(index.index_dir)]
+    assert paths
+    for path in paths:
+        with open(path, "rb") as f:
+            blob = pickle.load(f)
+        for where, leaf in _leaves(blob):
+            assert isinstance(leaf, (np.ndarray, int, float, np.number)), where
+            assert getattr(leaf, "dtype", None) != object, where

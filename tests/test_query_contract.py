@@ -25,6 +25,7 @@ def duplicated(spark):
 
 
 def _build_tied(name, spark, df):
+    from repro.baselines.lscan import LScan
     from repro.baselines.multiprobe import MultiProbe
     from repro.baselines.qalsh import QALSH
     from repro.baselines.srs import SRS
@@ -38,11 +39,13 @@ def _build_tied(name, spark, df):
     if name == "srs":
         return SRS.build(spark, df, m=15, c=1.5, n_partitions=6, seed=0,
                          early_stop=False)
+    if name == "lscan":
+        return LScan(spark, df, fraction=0.7, seed=0)
     return MultiProbe.build(spark, df, L=4, m_mp=8, n_probe=64, n_partitions=6,
                             seed=0)
 
 
-@pytest.mark.parametrize("name", ["pmlsh", "qalsh", "srs", "multiprobe"])
+@pytest.mark.parametrize("name", ["pmlsh", "qalsh", "srs", "multiprobe", "lscan"])
 def test_ties_break_by_ascending_id(name, spark, duplicated):
     df, Q = duplicated
     index = _build_tied(name, spark, df)
