@@ -1,8 +1,8 @@
-"""Shared SparkSession bootstrap for spark-submit entrypoints.
+"""Shared SparkSession bootstrap for the jobs, perfbench and the test suite.
 
-Jobs run standalone (outside pytest), so they build the same local
-session the ``conftest.py`` fixture would: local[*], Arrow enabled,
-broadcast joins disabled.
+Every entrypoint builds the same local session: local[*], Arrow enabled,
+broadcast joins disabled, and Python-worker traffic over Unix domain
+sockets in ``/tmp`` (DESIGN.md "Worker transport").
 """
 import os
 import sys
@@ -10,6 +10,10 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 from pyspark.sql import SparkSession
+
+# Spark names each socket ``<dir>/.<uuid>.sock``: the directory plus 43
+# characters, within AF_UNIX's 107-byte limit wherever the checkout lies.
+UDS_DIR = "/tmp"
 
 
 def get_spark(app: str) -> SparkSession:
@@ -22,6 +26,8 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.driver.host", "127.0.0.1")
         .config("spark.ui.enabled", "false")
+        .config("spark.python.unix.domain.socket.enabled", "true")
+        .config("spark.python.unix.domain.socket.dir", UDS_DIR)
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")

@@ -183,7 +183,6 @@ class MultiProbe:
             ids = blob["ids"]
             qid, rows = probe_tables(blob["tables"], probes, len(ids))
             return pd.DataFrame({"qid": qid, "id": ids[rows],
-                                 "pdist": np.zeros(len(rows)),
                                  "dist": _verified(blob["X"], rows, Q[qid])})
 
         got = self.index.probe(_probe, schema=CAND_SCHEMA).toPandas()

@@ -140,8 +140,7 @@ class QALSH:
                         continue
                     hit = hit[~np.isin(ids[hit], seen[qi])]
                     if len(hit):
-                        parts.append((qi, ids[hit], np.zeros(len(hit)),
-                                      _verified(X, hit, QV[qi])))
+                        parts.append((qi, ids[hit], _verified(X, hit, QV[qi])))
                 return _cand_frame(parts)
 
             return self.index.probe(_probe, schema=CAND_SCHEMA).toPandas()

@@ -28,12 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql.types import DoubleType, StructField, StructType
 
 from repro.core.partindex import PartitionedIndex
 from repro.core.pmlsh import (
     CAND_SCHEMA,
     Result,
-    _cand_frame,
     _group_by_qid,
     _topk,
     _verified,
@@ -46,6 +46,12 @@ from repro.numerics.chi2 import chi2_cdf
 __all__ = ["SRS"]
 
 CHUNK = 64  # stream points examined between early-termination tests
+
+# SRS is the only index that reads the projected distance: the driver
+# replays its incremental scan in projected-distance order.
+SRS_SCHEMA = StructType(CAND_SCHEMA.fields[:2]
+                        + [StructField("pdist", DoubleType(), False)]
+                        + CAND_SCHEMA.fields[2:])
 
 
 @dataclass
@@ -93,15 +99,24 @@ class SRS:
             # global projected-distance order without every partition
             # paying the full budget in true-distance evaluations
             take = min(n_i, int(budget_total * n_i / max(n_total, 1) * 1.5) + k)
-            parts = []
+            if not len(QP_loc):
+                return None
+            sel_ids, sel_pdist, sel_dist = [], [], []
             for qi in range(len(QP_loc)):
                 rho = P - QP_loc[qi][None, :]
                 pdist = np.sqrt(np.einsum("ij,ij->i", rho, rho))
                 sel = np.argsort(pdist, kind="stable")[:take]
-                parts.append((qi, ids[sel], pdist[sel], _verified(X, sel, QV_loc[qi])))
-            return _cand_frame(parts)
+                sel_ids.append(ids[sel])
+                sel_pdist.append(pdist[sel])
+                sel_dist.append(_verified(X, sel, QV_loc[qi]))
+            return pd.DataFrame({
+                "qid": np.repeat(np.arange(len(QP_loc), dtype=np.int64), take),
+                "id": np.concatenate(sel_ids),
+                "pdist": np.concatenate(sel_pdist),
+                "dist": np.concatenate(sel_dist),
+            })
 
-        got = self.index.probe(_probe, schema=CAND_SCHEMA).toPandas()
+        got = self.index.probe(_probe, schema=SRS_SCHEMA).toPandas()
         all_ids = got["id"].to_numpy(dtype=np.int64)
         all_pdist = got["pdist"].to_numpy(dtype=np.float64)
         all_dist = got["dist"].to_numpy(dtype=np.float64)

@@ -10,10 +10,11 @@ Multi-Probe) follows the same dataflow:
    count, pickled summary) flows back through Spark.
 2. *probe* — ``mapInPandas`` over the meta DataFrame (a small local
    DataFrame built from the collected meta rows, never ``.cache()``d) runs
-   an index-specific ``probe_fn(blob, summary, pid)`` per partition; executors
-   memoize deserialized blobs per worker process, so repeated probe
-   rounds (PM-LSH's radius enlarging, QALSH's virtual rehashing) pay the
-   disk+pickle cost once.
+   an index-specific ``probe_fn(blob, summary, pid)`` per partition; the
+   partitions a pass selects (``pids``) are picked inside the executors,
+   not by a driver-side filter. Executors memoize deserialized blobs per
+   worker process, so repeated probe rounds (PM-LSH's radius enlarging,
+   QALSH's virtual rehashing) pay the disk+pickle cost once.
 
 Running in ``local[*]`` all executors share the driver's filesystem; on a
 real cluster ``index_dir`` would simply move to shared storage — the
@@ -176,20 +177,26 @@ class PartitionedIndex:
 
     def probe(self, probe_fn: Callable[[dict, dict, int], pd.DataFrame],
               schema, pids: list[int] | None = None) -> DataFrame:
-        """Run ``probe_fn(blob, summary, pid)`` on each (selected) partition."""
-        meta = self.meta
-        if pids is not None:
-            wanted = set(int(p) for p in pids)
-            meta = meta.where(meta.pid.isin(list(wanted)))
+        """Run ``probe_fn(blob, summary, pid)`` on each (selected) partition.
+
+        ``pids`` are selected inside the executors: a row whose pid is not
+        selected is skipped before its blob is loaded. Every meta partition
+        runs a task either way, so a driver-side filter would save no task,
+        only add a Catalyst plan per pass.
+        """
+        wanted = None if pids is None else frozenset(int(p) for p in pids)
 
         def _probe(batches):
             skip_spark_archive_rereads()
             for pdf in batches:
                 for _, row in pdf.iterrows():
+                    pid = int(row["pid"])
+                    if wanted is not None and pid not in wanted:
+                        continue
                     blob = load_blob(row["path"])
                     summary = pickle.loads(bytes(row["summary"]))
-                    out = probe_fn(blob, summary, int(row["pid"]))
+                    out = probe_fn(blob, summary, pid)
                     if out is not None and len(out):
                         yield out
 
-        return meta.mapInPandas(_probe, schema=schema)
+        return self.meta.mapInPandas(_probe, schema=schema)

@@ -65,7 +65,6 @@ CAND_SCHEMA = StructType(
     [
         StructField("qid", LongType(), False),
         StructField("id", LongType(), False),
-        StructField("pdist", DoubleType(), False),
         StructField("dist", DoubleType(), False),
     ]
 )
@@ -133,19 +132,18 @@ def _verified(X: np.ndarray, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-def _cand_frame(parts: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
+def _cand_frame(parts: list[tuple[int, np.ndarray, np.ndarray]]
                 ) -> pd.DataFrame | None:
     """One partition's ``CAND_SCHEMA`` frame from its per-query
-    ``(qid, ids, pdist, dist)`` pieces, in order; None if there are none."""
+    ``(qid, ids, dist)`` pieces, in order; None if there are none."""
     if not parts:
         return None
-    qids, ids, pdist, dist = zip(*parts)
+    qids, ids, dist = zip(*parts)
     return pd.DataFrame(
         {
             "qid": np.repeat(np.asarray(qids, dtype=np.int64),
                              [len(a) for a in ids]),
             "id": np.concatenate(ids),
-            "pdist": np.concatenate(pdist),
             "dist": np.concatenate(dist),
         }
     )
@@ -327,7 +325,7 @@ class PMLSH:
             )
         ]
         if not pids:
-            return pd.DataFrame(columns=["qid", "id", "pdist", "dist"])
+            return pd.DataFrame(columns=["qid", "id", "dist"])
 
         def _probe(blob: dict, summary: dict, pid: int) -> pd.DataFrame | None:
             tree: PMTree = blob["tree"]
@@ -336,9 +334,9 @@ class PMLSH:
                 qp = QP[qid]
                 if _partition_pruned(summary, qp, qpiv_all[qid], pr):
                     continue
-                rows, pdists = tree.range_query(qp, pr)
+                rows, _ = tree.range_query(qp, pr)
                 if len(rows):
-                    parts.append((qid, blob["ids"][rows], pdists,
+                    parts.append((qid, blob["ids"][rows],
                                   _verified(blob["X"], rows, QV[qid])))
             return _cand_frame(parts)
 

@@ -1,6 +1,7 @@
 """Tests for the partitioned-index substrate (build blobs + probe)."""
 import os
 import pickle
+import uuid
 
 import numpy as np
 import pandas as pd
@@ -74,11 +75,15 @@ def test_probe_runs_on_every_partition(built):
     np.testing.assert_allclose(got, np.linalg.norm(X, axis=1), rtol=1e-9)
 
 
-def test_probe_pid_filter(built):
+def test_probe_pid_filter(built, tmp_path):
     idx, _ = built
-    some_pid = sorted(idx.summaries)[0]
+    all_pids = sorted(idx.summaries)
+    calls_dir = str(tmp_path)
 
     def probe_fn(blob, summary, pid):
+        # one file per call (executors share the driver's filesystem in
+        # local mode), so the pids probe_fn sees are recorded on the driver
+        open(os.path.join(calls_dir, f"{pid}-{uuid.uuid4().hex}"), "w").close()
         return pd.DataFrame(
             {
                 "pid": np.full(len(blob["ids"]), pid, dtype=np.int32),
@@ -87,9 +92,29 @@ def test_probe_pid_filter(built):
             }
         )
 
-    out = idx.probe(probe_fn, schema=OUT_SCHEMA, pids=[some_pid]).toPandas()
+    def probed(pids):
+        for f in os.listdir(calls_dir):
+            os.remove(os.path.join(calls_dir, f))
+        out = idx.probe(probe_fn, schema=OUT_SCHEMA, pids=pids).toPandas()
+        return out, sorted(int(f.split("-")[0]) for f in os.listdir(calls_dir))
+
+    some_pid = all_pids[0]
+    out, seen = probed([some_pid])
+    assert seen == [some_pid]
     assert set(out["pid"]) == {some_pid}
     assert len(out) == idx.summaries[some_pid]["count"]
+
+    chosen = all_pids[1::2]
+    out, seen = probed(chosen)
+    assert seen == chosen
+    assert sorted(set(out["pid"])) == chosen
+
+    out, seen = probed([])
+    assert seen == []
+    assert len(out) == 0
+
+    _, seen = probed(None)
+    assert seen == all_pids
 
 
 def test_probe_empty_result(built):
