@@ -34,6 +34,3 @@ class LScan:
         # every sampled point's distance is computed for every query
         self.last_probed = {i: self.n_sampled for i in range(len(Q))}
         return exact_knn_arrays(self.sample, Q, k)
-
-    def query(self, q: np.ndarray, k: int = 50) -> Result:
-        return self.query_batch(np.asarray(q)[None, :], k)[0]

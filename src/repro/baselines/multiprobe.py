@@ -30,8 +30,8 @@ from repro.core.partindex import PartitionedIndex
 from repro.core.pmlsh import (
     CAND_SCHEMA,
     Result,
-    _group_by_qid,
-    _topk,
+    _cand_arrays,
+    _topk_per_query,
     _verified,
     build_preamble,
     query_matrix,
@@ -186,16 +186,5 @@ class MultiProbe:
                                  "dist": _verified(blob["X"], rows, Q[qid])})
 
         got = self.index.probe(_probe, schema=CAND_SCHEMA).toPandas()
-        all_ids = got["id"].to_numpy(dtype=np.int64)
-        all_dist = got["dist"].to_numpy(dtype=np.float64)
-        order, bounds = _group_by_qid(got["qid"].to_numpy(dtype=np.int64), len(Q))
-        results = []
-        self.last_probed = {}
-        for qi in range(len(Q)):
-            grp = order[bounds[qi]:bounds[qi + 1]]
-            self.last_probed[qi] = len(grp)
-            results.append(_topk(all_ids[grp], all_dist[grp], k))
+        results, self.last_probed = _topk_per_query(*_cand_arrays(got), len(Q), k)
         return results
-
-    def query(self, q: np.ndarray, k: int = 50) -> Result:
-        return self.query_batch(np.asarray(q)[None, :], k)[0]

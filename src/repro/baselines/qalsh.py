@@ -149,6 +149,3 @@ class QALSH:
             len(Q), k, r0=self.r0(), c=self.c, probe=probe,
             budget=min(self.beta_q * self.n + k, self.n), max_rounds=MAX_ROUNDS)
         return results
-
-    def query(self, q: np.ndarray, k: int = 50) -> Result:
-        return self.query_batch(np.asarray(q)[None, :], k)[0]

@@ -34,6 +34,7 @@ from repro.core.partindex import PartitionedIndex
 from repro.core.pmlsh import (
     CAND_SCHEMA,
     Result,
+    _cand_arrays,
     _group_by_qid,
     _topk,
     _verified,
@@ -117,10 +118,9 @@ class SRS:
             })
 
         got = self.index.probe(_probe, schema=SRS_SCHEMA).toPandas()
-        all_ids = got["id"].to_numpy(dtype=np.int64)
+        qid, all_ids, all_dist = _cand_arrays(got)
         all_pdist = got["pdist"].to_numpy(dtype=np.float64)
-        all_dist = got["dist"].to_numpy(dtype=np.float64)
-        order, bounds = _group_by_qid(got["qid"].to_numpy(dtype=np.int64), len(Q))
+        order, bounds = _group_by_qid(qid, len(Q))
         results = []
         self.last_probed = {}
         for qi in range(len(Q)):
@@ -132,9 +132,6 @@ class SRS:
             self.last_probed[qi] = stop
             results.append(_topk(ids[:stop], dist[:stop], k))
         return results
-
-    def query(self, q: np.ndarray, k: int = 50) -> Result:
-        return self.query_batch(np.asarray(q)[None, :], k)[0]
 
     def _incremental_stop(self, pdist: np.ndarray, dist: np.ndarray, k: int,
                           budget: int) -> int:

@@ -33,7 +33,10 @@ from here):
 - :func:`query_matrix` — query-batch validation on the driver;
 - :func:`_verified` and :func:`_cand_frame` — the executors' true-distance
   verification and the one candidate frame each partition returns;
-- :func:`_topk` — the final ranking, by ``(dist, id)``.
+- :func:`_cross_dist` — the one expanded-square distance matrix, used by
+  exact kNN and the Table 3 statistics;
+- :func:`_topk_per_query` — the final ranking of each query's rows, by
+  ``(dist, id)``, also the exact-kNN ground truth's.
 """
 from __future__ import annotations
 
@@ -132,6 +135,14 @@ def _verified(X: np.ndarray, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
+def _cross_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``(len(A), len(B))`` Euclidean distances by the expanded square
+    ``|a|^2 + |b|^2 - 2 a.b``: one BLAS matmul for the whole block."""
+    d2 = (np.einsum("ij,ij->i", A, A)[:, None] + np.einsum("ij,ij->i", B, B)[None, :]
+          - 2.0 * (A @ B.T))
+    return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
+
+
 def _cand_frame(parts: list[tuple[int, np.ndarray, np.ndarray]]
                 ) -> pd.DataFrame | None:
     """One partition's ``CAND_SCHEMA`` frame from its per-query
@@ -169,6 +180,21 @@ def _topk(ids: np.ndarray, dists: np.ndarray, k: int) -> Result:
     return ids[order], dists[order]
 
 
+def _cand_arrays(got: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``qid``, ``id`` and ``dist`` columns of a candidate frame."""
+    return (got["qid"].to_numpy(dtype=np.int64), got["id"].to_numpy(dtype=np.int64),
+            got["dist"].to_numpy(dtype=np.float64))
+
+
+def _topk_per_query(qid: np.ndarray, ids: np.ndarray, dist: np.ndarray, nq: int,
+                    k: int) -> tuple[list[Result], dict[int, int]]:
+    """The top-k of each of ``nq`` queries' rows, and the rows per query."""
+    order, bounds = _group_by_qid(qid, nq)
+    groups = [order[bounds[i]:bounds[i + 1]] for i in range(nq)]
+    return ([_topk(ids[g], dist[g], k) for g in groups],
+            {i: len(g) for i, g in enumerate(groups)})
+
+
 def enlarge_radius(nq: int, k: int, *, r0: float, c: float,
                    probe: Callable[[dict, dict], pd.DataFrame], budget: float,
                    max_rounds: int) -> tuple[list[Result], dict[int, int]]:
@@ -192,9 +218,7 @@ def enlarge_radius(nq: int, k: int, *, r0: float, c: float,
         order, bounds = _group_by_qid(qid, nq)
         got = probe({int(i): float(r[i]) for i in active},
                     {int(i): ids[order[bounds[i]:bounds[i + 1]]] for i in active})
-        new = (got["qid"].to_numpy(dtype=np.int64),
-               got["id"].to_numpy(dtype=np.int64),
-               got["dist"].to_numpy(dtype=np.float64))
+        new = _cand_arrays(got)
         if len(qid):
             # a round may return pairs an earlier round verified; keep each
             # (qid, id) pair once, with its latest distance
@@ -212,12 +236,7 @@ def enlarge_radius(nq: int, k: int, *, r0: float, c: float,
         active = active[go_on]
         r[active] *= c
     # a query still active here hit the round cap: best effort over its candidates
-    order, bounds = _group_by_qid(qid, nq)
-    results = []
-    for i in range(nq):
-        sl = order[bounds[i]:bounds[i + 1]]
-        results.append(_topk(ids[sl], dist[sl], k))
-    return results, {i: int(bounds[i + 1] - bounds[i]) for i in range(nq)}
+    return _topk_per_query(qid, ids, dist, nq, k)
 
 
 # ---- PM-LSH ----------------------------------------------------------------
@@ -351,11 +370,10 @@ class PMLSH:
         Q = query_matrix(Q, k, self.n)
         QP = dict(enumerate(self.proj.project(Q)))
         QV = dict(enumerate(Q))
-        t = self.ci.t
         results, probed = enlarge_radius(
             len(Q), k, r0=self.r_min(k), c=self.ci.c,
             probe=lambda radii, _: self._probe_round(
-                QP, QV, {i: t * r for i, r in radii.items()}),
+                QP, QV, {i: self.ci.projected_radius(r) for i, r in radii.items()}),
             budget=min(self.beta * self.n + k, self.n), max_rounds=max_rounds)
         # candidates whose true distances were verified, per query — the
         # hardware-independent cost the paper's timing reflects
@@ -370,11 +388,10 @@ class PMLSH:
         """(r,c)-BC query (Algorithm 1): a point in B(q, c*r), or None."""
         q = query_matrix(q, 1, self.n)[0]
         QP = {0: self.proj.project(q)[0]}
-        got = self._probe_round(QP, {0: q}, {0: self.ci.t * r})
+        got = self._probe_round(QP, {0: q}, {0: self.ci.projected_radius(r)})
         if len(got) == 0:
             return None
-        ids, dists = _topk(got["id"].to_numpy(dtype=np.int64),
-                           got["dist"].to_numpy(dtype=np.float64), 1)
+        ids, dists = _topk(*_cand_arrays(got)[1:], 1)
         best_id, best_d = int(ids[0]), float(dists[0])
         if len(got) >= self.beta * self.n + 1 or best_d <= self.ci.c * r:
             return best_id, best_d

@@ -11,19 +11,23 @@
   ``LID(q) = -( (1/k) * sum_i ln(r_i / r_k) )^-1`` from the k smallest
   distances, averaged over sampled queries.
 
-All three need many point-to-point distances; ``pairwise_distances_spark``
-fans the distance computation out with mapInPandas so the d=4096 datasets
-do not serialize through the driver in one piece.
+RC needs every distance from a query, so ``pairwise_distances_spark``
+fans the distance computation out with mapInPandas and the d=4096
+datasets do not serialize through the driver in one piece. LID needs only
+each query's nearest distances and takes them from the exact-kNN ground
+truth (``repro.baselines.exact``). HV's small viewpoint-to-reference
+matrix is computed on the driver. All three use the same distance kernel
+(``repro.core.pmlsh._cross_dist``).
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
+from repro.baselines.exact import exact_knn_arrays
 from repro.core.partindex import skip_spark_archive_rereads
+from repro.core.pmlsh import CAND_SCHEMA, _cross_dist
 from repro.core.projection import vector_dim
 
 __all__ = [
@@ -34,15 +38,6 @@ __all__ = [
     "dataset_stats",
 ]
 
-_DIST_SCHEMA = StructType(
-    [
-        StructField("qid", LongType(), False),
-        StructField("id", LongType(), False),
-        StructField("dist", DoubleType(), False),
-    ]
-)
-
-
 def pairwise_distances_spark(vectors: DataFrame, Q: np.ndarray) -> DataFrame:
     """Distances from every point in ``vectors`` to every row of ``Q``.
 
@@ -50,19 +45,13 @@ def pairwise_distances_spark(vectors: DataFrame, Q: np.ndarray) -> DataFrame:
     the task closure (small: nq x d).
     """
     Qm = np.asarray(Q, dtype=np.float64)
-    q_sq = np.sum(Qm * Qm, axis=1)
 
     def _dist(batches):
         skip_spark_archive_rereads()
         for pdf in batches:
             if len(pdf) == 0:
                 continue
-            X = np.stack(pdf["vec"].to_numpy())
-            x_sq = np.sum(X * X, axis=1)
-            # (nq, n_batch) distances via the expanded-square identity
-            d2 = q_sq[:, None] + x_sq[None, :] - 2.0 * (Qm @ X.T)
-            np.maximum(d2, 0.0, out=d2)
-            D = np.sqrt(d2)
+            D = _cross_dist(Qm, np.stack(pdf["vec"].to_numpy()))
             nq, nb = D.shape
             yield pd.DataFrame(
                 {
@@ -72,7 +61,7 @@ def pairwise_distances_spark(vectors: DataFrame, Q: np.ndarray) -> DataFrame:
                 }
             )
 
-    return vectors.mapInPandas(_dist, schema=_DIST_SCHEMA)
+    return vectors.mapInPandas(_dist, schema=CAND_SCHEMA)
 
 
 def homogeneity_of_viewpoints(vectors: DataFrame, *, n_view: int = 30,
@@ -120,22 +109,13 @@ def local_intrinsic_dimensionality(vectors: DataFrame, *, n_query: int = 50,
     """Average MLE LID over sampled queries using each query's kNN distances.
 
     Like :func:`relative_contrast`, each sampled query's own row is
-    excluded by id before taking the k smallest distances.
+    excluded by id before taking the k smallest distances, so each query
+    asks the exact kNN for k + 1.
     """
     src_ids, Q = _sample_rows(vectors, n_query, seed)
-    dists = pairwise_distances_spark(vectors, Q)
-    from pyspark.sql.window import Window
-
-    w = Window.partitionBy("qid").orderBy("dist")
-    topk = (
-        dists.withColumn("rk", F.row_number().over(w))
-        .where(F.col("rk") <= k + 1)
-        .toPandas()
-    )
     lids = []
-    for qi, grp in topk.groupby("qid"):
-        grp = grp[grp["id"] != src_ids[int(qi)]]
-        r = np.sort(grp["dist"].to_numpy())[:k]
+    for src, (ids, dist) in zip(src_ids, exact_knn_arrays(vectors, Q, k + 1)):
+        r = dist[ids != src][:k]
         rk = r[-1]
         if rk <= 0:
             continue
@@ -176,13 +156,3 @@ def _sample_rows(vectors: DataFrame, n: int, seed: int
 def _sample_vectors(vectors: DataFrame, n: int, seed: int) -> np.ndarray:
     """~n rows of ``vec`` as a matrix (ids discarded)."""
     return _sample_rows(vectors, n, seed)[1]
-
-
-def _cross_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2)

@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro import datasets
-from repro.baselines.exact import exact_knn, exact_knn_arrays
+from repro.baselines.exact import exact_knn_arrays
 from repro.core.projection import VECTOR_SCHEMA
 from repro.oracle import assert_equivalent
 
@@ -21,26 +21,31 @@ def data(spark):
 
 def test_exact_knn_matches_numpy(data):
     df, X, Q = data
-    out = exact_knn(df, Q, 10).toPandas()
-    for qi in range(len(Q)):
+    out = exact_knn_arrays(df, Q, 10)
+    assert len(out) == len(Q)
+    for qi, (ids, dists) in enumerate(out):
         d = np.linalg.norm(X - Q[qi][None, :], axis=1)
         order = np.lexsort((np.arange(len(X)), d))[:10]
-        grp = out[out["qid"] == qi].sort_values("rank")
-        np.testing.assert_array_equal(grp["id"].to_numpy(), order)
-        np.testing.assert_allclose(grp["dist"].to_numpy(), np.sort(d)[:10], rtol=1e-9)
+        np.testing.assert_array_equal(ids, order)
+        np.testing.assert_allclose(dists, np.sort(d)[:10], rtol=1e-9)
 
 
 def test_exact_knn_duckdb_oracle(data):
-    """Full result-equality check against DuckDB list_distance + window."""
+    """Full result-equality check against DuckDB list_distance + window;
+    a row's rank is its position in the query's answer."""
     df, X, Q = data
     k = 8
-    spark_out = exact_knn(df, Q, k).selectExpr(
-        "qid", "id", "round(dist, 6) as dist", "rank"
-    )
+    out = exact_knn_arrays(df, Q, k)
+    got = pd.DataFrame({
+        "qid": np.repeat(np.arange(len(Q), dtype=np.int64), [len(i) for i, _ in out]),
+        "id": np.concatenate([ids for ids, _ in out]),
+        "dist": np.concatenate([d for _, d in out]).round(6),
+        "rank": np.concatenate([np.arange(1, len(i) + 1) for i, _ in out]),
+    })
     vec_pdf = pd.DataFrame({"id": np.arange(len(X), dtype=np.int64), "vec": list(X)})
     q_pdf = pd.DataFrame({"qid": np.arange(len(Q), dtype=np.int64), "qvec": list(Q)})
     assert_equivalent(
-        spark_out,
+        got,
         f"""
         WITH dists AS (
           SELECT q.qid AS qid, v.id AS id,
@@ -94,3 +99,24 @@ def test_ties_within_one_partition_break_by_id(spark):
         order = np.lexsort((ids, d))[:k]
         np.testing.assert_array_equal(got_ids, ids[order])
         np.testing.assert_array_equal(got_dist, d[order])
+
+
+@pytest.mark.parametrize("case", ["nan", "inf", "k=0", "k<0"])
+def test_exact_knn_rejects_bad_input_before_spark(case, data, monkeypatch):
+    """A non-finite query or k < 1 fails on the driver: no Spark job starts,
+    and no query silently gets an empty ground truth."""
+    df, X, Q = data
+    Q, k = Q.copy(), 5
+    if case == "nan":
+        Q[1, 3] = np.nan
+    elif case == "inf":
+        Q[0, 0] = -np.inf
+    else:
+        k = 0 if case == "k=0" else -1
+
+    def fail(*a, **kw):
+        raise AssertionError("a Spark job started before input validation")
+
+    monkeypatch.setattr(type(df), "mapInPandas", fail)
+    with pytest.raises(ValueError):
+        exact_knn_arrays(df, Q, k)

@@ -59,6 +59,49 @@ def test_pairwise_distances_oracle(spark, blob_df):
     )
 
 
+@pytest.fixture(scope="module")
+def grid_df(spark):
+    """A shuffled 5x4x3 integer grid. Every distance is exact in floating
+    point, so ties are real: a corner's 4th and 5th nearest neighbours
+    both lie at sqrt(2)."""
+    X = np.stack(np.meshgrid(np.arange(5), np.arange(4), np.arange(3),
+                             indexing="ij"), axis=-1).reshape(-1, 3).astype(float)
+    X = X[np.random.default_rng(6).permutation(len(X))]
+    df = datasets.to_spark(spark, X, partitions=4).cache()
+    df.count()
+    yield df, X
+    df.unpersist()
+
+
+def _others(X):
+    """Each point's distances to every other point, ascending."""
+    D = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
+    return np.sort(D[~np.eye(len(X), dtype=bool)].reshape(len(X), -1), axis=1)
+
+
+def test_lid_matches_numpy_with_tie_at_k_plus_1(grid_df):
+    """Every point is a query (n_query = n), and with k = 4 some queries'
+    k-th and (k+1)-th neighbours tie."""
+    df, X = grid_df
+    k = 4
+    R = _others(X)
+    assert np.any(R[:, k - 1] == R[:, k])
+    lids = []
+    for r in R[:, :k]:
+        denom = np.mean(np.log(r / r[-1])[:-1])
+        if denom < 0:
+            lids.append(-1.0 / denom)
+    got = local_intrinsic_dimensionality(df, n_query=len(X), k=k)
+    assert got == pytest.approx(np.mean(lids), rel=1e-12)
+
+
+def test_rc_matches_numpy(grid_df):
+    df, X = grid_df
+    R = _others(X)
+    got = relative_contrast(df, n_query=len(X))
+    assert got == pytest.approx(np.mean(R.mean(axis=1) / R[:, 0]), rel=1e-12)
+
+
 def test_rc_higher_for_clustered_data(spark):
     g = np.random.default_rng(1)
     blob = datasets.to_spark(spark, g.standard_normal((400, 16)))
