@@ -139,7 +139,6 @@ def probe_tables(tables: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
 
 @dataclass
 class MultiProbe:
-    spark: SparkSession
     projections: list[GaussianProjection]   # one per table
     index: PartitionedIndex
     n: int
@@ -165,8 +164,7 @@ class MultiProbe:
                     "X": X, "ids": ids}, {}
 
         index = PartitionedIndex.build(spark, pre.assigned, _build, name="multiprobe")
-        return cls(spark=spark, projections=projections, index=index, n=pre.n,
-                   n_probe=n_probe)
+        return cls(projections=projections, index=index, n=pre.n, n_probe=n_probe)
 
     # ------------------------------------------------------------------
     def query_batch(self, Q: np.ndarray, k: int = 50) -> list[Result]:
@@ -179,7 +177,7 @@ class MultiProbe:
             probes.append((np.array([b for seq in seqs for b in seq], dtype=np.int64),
                            np.repeat(np.arange(len(Q)), [len(seq) for seq in seqs])))
 
-        def _probe(blob: dict, summary: dict, pid: int) -> pd.DataFrame:
+        def _probe(blob: dict, pid: int) -> pd.DataFrame:
             ids = blob["ids"]
             qid, rows = probe_tables(blob["tables"], probes, len(ids))
             return pd.DataFrame({"qid": qid, "id": ids[rows],

@@ -20,6 +20,9 @@ Adaptation: the original assumes distances start at r=1 (integer data);
 here ``r0`` comes from the dataset's distance distribution (smallest
 percentile), which preserves the geometric radius schedule; the rounds
 run in PM-LSH's loop (``repro.core.pmlsh.enlarge_radius``), capped at 48.
+The windows nest as r grows, so collision counts only rise and each
+round's candidates contain the earlier rounds': a round returns every
+candidate of each active query at its radius, as PM-LSH's rounds do.
 The B+-trees are per-partition sorted column arrays probed with
 ``searchsorted`` (same O(log n + window) asymptotics, vectorized).
 """
@@ -74,7 +77,6 @@ def qalsh_params(n: int, c: float, *, w: float = W,
 
 @dataclass
 class QALSH:
-    spark: SparkSession
     proj: GaussianProjection   # m_q one-dimensional projections
     index: PartitionedIndex
     F: DistanceDistribution
@@ -102,7 +104,7 @@ class QALSH:
             return {"H": H, "sorted_h": sorted_h, "order": order, "X": X, "ids": ids}, {}
 
         index = PartitionedIndex.build(spark, pre.assigned, _build, name="qalsh")
-        return cls(spark=spark, proj=pre.proj, index=index, F=pre.F, n=pre.n,
+        return cls(proj=pre.proj, index=index, F=pre.F, n=pre.n,
                    c=c, m_q=m_q, l=l, beta_q=beta_q)
 
     # ------------------------------------------------------------------
@@ -116,11 +118,11 @@ class QALSH:
         QH = self.proj.project(Q)                     # (nq, m_q)
         l_loc, QV = self.l, Q
 
-        def probe(radii: dict[int, float], seen: dict[int, np.ndarray]
-                  ) -> pd.DataFrame:
-            """One virtual-rehashing round; ids already verified are skipped."""
+        def probe(radii: dict[int, float]) -> pd.DataFrame:
+            """One virtual-rehashing round: every point that collides with
+            its query in at least ``l`` windows."""
 
-            def _probe(blob: dict, summary: dict, pid: int) -> pd.DataFrame | None:
+            def _probe(blob: dict, pid: int) -> pd.DataFrame | None:
                 sorted_h, order = blob["sorted_h"], blob["order"]
                 X, ids = blob["X"], blob["ids"]
                 n_i = len(ids)
@@ -136,16 +138,13 @@ class QALSH:
                         if b > a:
                             counts[order[a:b, j]] += 1
                     hit = np.where(counts >= l_loc)[0]
-                    if len(hit) == 0:
-                        continue
-                    hit = hit[~np.isin(ids[hit], seen[qi])]
                     if len(hit):
                         parts.append((qi, ids[hit], _verified(X, hit, QV[qi])))
                 return _cand_frame(parts)
 
             return self.index.probe(_probe, schema=CAND_SCHEMA).toPandas()
 
-        results, self.last_probed = enlarge_radius(
+        results, self.last_probed, _ = enlarge_radius(
             len(Q), k, r0=self.r0(), c=self.c, probe=probe,
             budget=min(self.beta_q * self.n + k, self.n), max_rounds=MAX_ROUNDS)
         return results

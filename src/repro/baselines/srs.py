@@ -57,7 +57,6 @@ SRS_SCHEMA = StructType(CAND_SCHEMA.fields[:2]
 
 @dataclass
 class SRS:
-    spark: SparkSession
     proj: GaussianProjection
     index: PartitionedIndex
     n: int
@@ -82,7 +81,7 @@ class SRS:
         index = PartitionedIndex.build(
             spark, pre.assigned,
             lambda ids, P, X: ({"P": P, "X": X, "ids": ids}, {}), name="srs")
-        return cls(spark=spark, proj=pre.proj, index=index, n=pre.n, c=c, T=T,
+        return cls(proj=pre.proj, index=index, n=pre.n, c=c, T=T,
                    p_tau=p_tau, m=m, early_stop=early_stop)
 
     # ------------------------------------------------------------------
@@ -92,7 +91,7 @@ class SRS:
         budget_total = int(np.ceil(self.T * self.n)) + k
         QP_loc, QV_loc, n_total = QP, Q, self.n
 
-        def _probe(blob: dict, summary: dict, pid: int) -> pd.DataFrame | None:
+        def _probe(blob: dict, pid: int) -> pd.DataFrame | None:
             P, X, ids = blob["P"], blob["X"], blob["ids"]
             n_i = len(ids)
             # proportional share of the global budget with 1.5x slack: the

@@ -6,15 +6,17 @@ Multi-Probe) follows the same dataflow:
 1. *build* — ``applyInPandas`` over points grouped by ``pid`` runs an
    index-specific ``build_fn`` whose output (a picklable dict of NumPy
    arrays, or of flat trees made only of them) is written to
-   ``<index_dir>/part-<pid>.pkl``. Only a tiny meta row (pid, path,
-   count, pickled summary) flows back through Spark.
+   ``<index_dir>/part-<pid>.pkl``. Only a tiny row (pid, path, pickled
+   summary) flows back through Spark; the summaries stay on the driver.
 2. *probe* — ``mapInPandas`` over the meta DataFrame (a small local
-   DataFrame built from the collected meta rows, never ``.cache()``d) runs
-   an index-specific ``probe_fn(blob, summary, pid)`` per partition; the
-   partitions a pass selects (``pids``) are picked inside the executors,
-   not by a driver-side filter. Executors memoize deserialized blobs per
-   worker process, so repeated probe rounds (PM-LSH's radius enlarging,
-   QALSH's virtual rehashing) pay the disk+pickle cost once.
+   DataFrame of ``(pid, path)`` rows, never ``.cache()``d) runs an
+   index-specific ``probe_fn(blob, pid)`` per partition. Whatever a pass
+   needs per partition (PM-LSH's plan of queries per pid) is decided on
+   the driver and travels in ``probe_fn``'s closure; the partitions a pass
+   selects (``pids``) are picked inside the executors, not by a
+   driver-side filter. Executors memoize deserialized blobs per worker
+   process, so repeated probe rounds (PM-LSH's radius enlarging, QALSH's
+   virtual rehashing) pay the disk+pickle cost once.
 
 Running in ``local[*]`` all executors share the driver's filesystem; on a
 real cluster ``index_dir`` would simply move to shared storage — the
@@ -37,7 +39,6 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import (
     BinaryType,
     IntegerType,
-    LongType,
     StringType,
     StructField,
     StructType,
@@ -50,10 +51,10 @@ META_SCHEMA = StructType(
     [
         StructField("pid", IntegerType(), False),
         StructField("path", StringType(), False),
-        StructField("count", LongType(), False),
-        StructField("summary", BinaryType(), False),
     ]
 )
+# what each build group returns: its meta row and its pickled summary
+BUILT_SCHEMA = StructType(META_SCHEMA.fields + [StructField("summary", BinaryType(), False)])
 
 # Per-worker-process blob cache; keyed by file path (paths embed a uuid,
 # so a rebuilt index never aliases a stale cache entry).
@@ -111,7 +112,7 @@ def default_index_root() -> str:
 class PartitionedIndex:
     """Meta DataFrame + driver-side summaries for one built index."""
 
-    meta: DataFrame              # local (pid, path, count, summary) rows
+    meta: DataFrame              # local (pid, path) rows
     summaries: dict[int, dict]   # pid -> summary dict (driver copy)
     n: int                       # total indexed points
     index_dir: str
@@ -131,8 +132,8 @@ class PartitionedIndex:
         ``build_fn(ids, P, X) -> (blob, summary)`` gets one partition's ids,
         projected points and original vectors as arrays. The blob is
         pickled to disk; the summary must be a small picklable dict (it is
-        collected to the driver and also handed to probe functions), to
-        which the partition's point ``count`` is added.
+        collected to the driver), to which the partition's point ``count``
+        is added.
         """
         index_dir = os.path.join(default_index_root(), f"{name}-{uuid.uuid4().hex[:12]}")
         os.makedirs(index_dir, exist_ok=True)
@@ -148,36 +149,24 @@ class PartitionedIndex:
             with open(path, "wb") as f:
                 pickle.dump(blob, f, protocol=pickle.HIGHEST_PROTOCOL)
             return pd.DataFrame(
-                {
-                    "pid": [pid],
-                    "path": [path],
-                    "count": [len(ids)],
-                    "summary": [pickle.dumps(summary)],
-                }
-            )
+                {"pid": [pid], "path": [path], "summary": [pickle.dumps(summary)]})
 
-        built = assigned.groupBy("pid").applyInPandas(_build, schema=META_SCHEMA)
+        built = assigned.groupBy("pid").applyInPandas(_build, schema=BUILT_SCHEMA)
         rows = built.collect()  # materializes every blob file exactly once
         # Recreate meta as a fresh local DataFrame: probing must not keep a
         # lineage to the (possibly cached-then-unpersisted) input — stale
         # cache entries trip Spark's CacheManager on later .cache() calls,
         # and a retained lineage could silently re-run the build.
-        meta_pdf = pd.DataFrame(
-            {
-                "pid": [int(r["pid"]) for r in rows],
-                "path": [r["path"] for r in rows],
-                "count": [int(r["count"]) for r in rows],
-                "summary": [bytes(r["summary"]) for r in rows],
-            }
-        )
+        meta_pdf = pd.DataFrame({"pid": [int(r["pid"]) for r in rows],
+                                 "path": [r["path"] for r in rows]})
         meta = spark.createDataFrame(meta_pdf, schema=META_SCHEMA)
         summaries = {int(r["pid"]): pickle.loads(bytes(r["summary"])) for r in rows}
-        n = int(sum(r["count"] for r in rows))
+        n = int(sum(s["count"] for s in summaries.values()))
         return cls(meta=meta, summaries=summaries, n=n, index_dir=index_dir)
 
-    def probe(self, probe_fn: Callable[[dict, dict, int], pd.DataFrame],
+    def probe(self, probe_fn: Callable[[dict, int], pd.DataFrame | None],
               schema, pids: list[int] | None = None) -> DataFrame:
-        """Run ``probe_fn(blob, summary, pid)`` on each (selected) partition.
+        """Run ``probe_fn(blob, pid)`` on each (selected) partition.
 
         ``pids`` are selected inside the executors: a row whose pid is not
         selected is skipped before its blob is loaded. Every meta partition
@@ -189,13 +178,10 @@ class PartitionedIndex:
         def _probe(batches):
             skip_spark_archive_rereads()
             for pdf in batches:
-                for _, row in pdf.iterrows():
-                    pid = int(row["pid"])
+                for pid, path in zip(pdf["pid"].tolist(), pdf["path"].tolist()):
                     if wanted is not None and pid not in wanted:
                         continue
-                    blob = load_blob(row["path"])
-                    summary = pickle.loads(bytes(row["summary"]))
-                    out = probe_fn(blob, summary, pid)
+                    out = probe_fn(load_blob(path), pid)
                     if out is not None and len(out):
                         yield out
 

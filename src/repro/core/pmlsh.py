@@ -9,19 +9,24 @@ Build (Section 4.1, adapted to the distributed dataflow of this repo):
 3. per partition, build a PM-tree over the projected points with a
    *global* pivot set, and persist ``{tree, ids, X}`` as an index blob
    (``repro.core.partindex``). Each partition also reports a ball+ring
-   summary, which the driver uses to prune whole partitions at query
-   time — the same geometry as a PM-tree inner node, one level up.
+   summary, which the driver uses to plan each query pass — the same
+   geometry as a PM-tree inner node, one level up.
 
 Query:
 
-- ``(r, c)-BC`` (Algorithm 1) and ``(c, k)-ANN`` (Algorithm 2) run a
-  sequence of projected-space range queries ``range(q', t*r)`` with
-  ``r = r_min, c*r_min, ...``; ``t`` comes from the tunable confidence
-  interval (Eq. 10) and ``r_min`` from the distance distribution ``F``
-  so that ``n*F(r_min) ~= beta*n + k`` (Section 4.5).
+- ``(c, k)-ANN`` (Algorithm 2) runs a sequence of projected-space range
+  queries ``range(q', t*r)`` with ``r = r_min, c*r_min, ...``; ``t``
+  comes from the tunable confidence interval (Eq. 10) and ``r_min`` from
+  the distance distribution ``F`` so that ``n*F(r_min) ~= beta*n + k``
+  (Section 4.5). ``(r, c)-BC`` (Algorithm 1) is one round of the same
+  loop, at radius r with k = 1 and the budget ``beta*n + 1``.
+- A range query at a larger radius returns a superset of the one at a
+  smaller radius, so each round returns every candidate of each active
+  query, and its rows replace that query's earlier ones.
 - Queries are processed in *batches*: one Spark pass per radius round
   serves every still-active query, so the driver loop runs O(1) rounds,
-  not O(rounds * queries).
+  not O(rounds * queries). The driver plans each pass: the ball+ring test
+  picks, per partition, the queries whose ball can touch it.
 
 Shared by every distributed index in the repo (the baselines import them
 from here):
@@ -29,7 +34,7 @@ from here):
 - :func:`build_preamble` — empty check, count, projection, seeded sample,
   k-means partitioning and, where needed, F(x);
 - :func:`enlarge_radius` — Algorithm 2's radius-enlarging loop, also
-  QALSH's virtual rehashing;
+  QALSH's virtual rehashing and, in one round, Algorithm 1;
 - :func:`query_matrix` — query-batch validation on the driver;
 - :func:`_verified` and :func:`_cand_frame` — the executors' true-distance
   verification and the one candidate frame each partition returns;
@@ -196,16 +201,18 @@ def _topk_per_query(qid: np.ndarray, ids: np.ndarray, dist: np.ndarray, nq: int,
 
 
 def enlarge_radius(nq: int, k: int, *, r0: float, c: float,
-                   probe: Callable[[dict, dict], pd.DataFrame], budget: float,
-                   max_rounds: int) -> tuple[list[Result], dict[int, int]]:
+                   probe: Callable[[dict], pd.DataFrame], budget: float,
+                   max_rounds: int) -> tuple[list[Result], dict[int, int], list[int]]:
     """Algorithm 2's loop for a batch of ``nq`` queries.
 
     Every active query starts at radius ``r0``. Each round,
-    ``probe(radii, seen)`` returns the ``(qid, id, dist)`` rows found at
-    ``radii`` (qid -> r) given the ids verified so far (qid -> ids array).
-    A query stops once k candidates lie within ``c * r`` or it has
-    ``budget`` candidates; otherwise ``r`` becomes ``c * r``.
-    Returns the top-k per query and the candidates verified per query.
+    ``probe(radii)`` returns every ``(qid, id, dist)`` candidate of each
+    active query at its radius (``radii``: qid -> r). A round's rows
+    replace the earlier rows of the queries active in it; finished queries
+    keep theirs. A query stops once k candidates lie within ``c * r`` or it
+    has ``budget`` candidates; otherwise ``r`` becomes ``c * r``.
+    Returns the top-k per query, the candidates verified per query and
+    the qids still active when the rounds ran out.
     """
     r = np.full(nq, float(r0))
     active = np.arange(nq)
@@ -215,28 +222,18 @@ def enlarge_radius(nq: int, k: int, *, r0: float, c: float,
     for _ in range(max_rounds):
         if not len(active):
             break
-        order, bounds = _group_by_qid(qid, nq)
-        got = probe({int(i): float(r[i]) for i in active},
-                    {int(i): ids[order[bounds[i]:bounds[i + 1]]] for i in active})
-        new = _cand_arrays(got)
-        if len(qid):
-            # a round may return pairs an earlier round verified; keep each
-            # (qid, id) pair once, with its latest distance
-            qid, ids, dist = (np.concatenate(a) for a in zip((qid, ids, dist), new))
-            order = np.lexsort((ids, qid))
-            last = np.ones(len(order), dtype=bool)
-            last[:-1] = (np.diff(qid[order]) != 0) | (np.diff(ids[order]) != 0)
-            keep = order[last]
-            qid, ids, dist = qid[keep], ids[keep], dist[keep]
-        else:
-            qid, ids, dist = new
+        new = _cand_arrays(probe({int(i): float(r[i]) for i in active}))
+        if len(qid):  # finished queries keep their rows; active ones' are replaced
+            kept = ~np.isin(qid, active)
+            new = [np.concatenate((a[kept], b)) for a, b in zip((qid, ids, dist), new)]
+        qid, ids, dist = new
         n_cand = np.bincount(qid, minlength=nq)[active]
         close = np.bincount(qid[dist <= c * r[qid]], minlength=nq)[active]
         go_on = (close < k) & (n_cand < budget)
         active = active[go_on]
         r[active] *= c
     # a query still active here hit the round cap: best effort over its candidates
-    return _topk_per_query(qid, ids, dist, nq, k)
+    return (*_topk_per_query(qid, ids, dist, nq, k), active.tolist())
 
 
 # ---- PM-LSH ----------------------------------------------------------------
@@ -257,7 +254,6 @@ def _partition_pruned(summary: dict, qp: np.ndarray, qpiv: np.ndarray,
 class PMLSH:
     """A built PM-LSH index plus everything needed to answer queries."""
 
-    spark: SparkSession
     proj: GaussianProjection
     ci: ConfidenceInterval
     pivots: np.ndarray            # global PM-tree pivots (projected space)
@@ -311,7 +307,7 @@ class PMLSH:
 
         index = PartitionedIndex.build(spark, pre.assigned, _build,
                                        name=cls._index_name)
-        return cls(spark=spark, proj=pre.proj, ci=ci, pivots=pivots, index=index,
+        return cls(proj=pre.proj, ci=ci, pivots=pivots, index=index,
                    F=pre.F, n=pre.n, beta=ci.beta)
 
     # ---- helpers ---------------------------------------------------------
@@ -323,44 +319,51 @@ class PMLSH:
 
     def _probe_round(self, QP: dict[int, np.ndarray], QV: dict[int, np.ndarray],
                      radii: dict[int, float]) -> pd.DataFrame:
-        """One Spark pass: per partition, range queries for all active queries.
+        """One Spark pass: every candidate of each active query at its radius.
 
-        ``radii`` maps qid -> *projected-space* radius (already t*r).
-        Partition pruning happens executor-side against the blob summary
-        and driver-side when selecting pids, both using the ball+ring test.
+        ``radii`` maps qid -> *projected-space* radius (already t*r). The
+        driver plans the pass: the ball+ring test gives each partition the
+        queries whose ball can touch it (``plan``: pid -> qids). Only planned
+        partitions are probed, each for its planned queries only.
         """
-        qpiv_all = {
+        qpiv = {
             qid: np.linalg.norm(self.pivots - QP[qid][None, :], axis=1)
             if len(self.pivots) else np.zeros(0)
             for qid in radii
         }
-        # driver-side partition selection
-        pids = [
-            pid
-            for pid, summ in self.index.summaries.items()
-            if any(
-                not _partition_pruned(summ, QP[qid], qpiv_all[qid], pr)
-                for qid, pr in radii.items()
-            )
-        ]
-        if not pids:
+        plan = {}
+        for pid, summ in self.index.summaries.items():
+            qids = [qid for qid, pr in radii.items()
+                    if not _partition_pruned(summ, QP[qid], qpiv[qid], pr)]
+            if qids:
+                plan[pid] = qids
+        if not plan:
             return pd.DataFrame(columns=["qid", "id", "dist"])
 
-        def _probe(blob: dict, summary: dict, pid: int) -> pd.DataFrame | None:
+        def _probe(blob: dict, pid: int) -> pd.DataFrame | None:
             tree: PMTree = blob["tree"]
             parts = []
-            for qid, pr in radii.items():
-                qp = QP[qid]
-                if _partition_pruned(summary, qp, qpiv_all[qid], pr):
-                    continue
-                rows, _ = tree.range_query(qp, pr)
+            for qid in plan[pid]:
+                rows, _ = tree.range_query(QP[qid], radii[qid])
                 if len(rows):
                     parts.append((qid, blob["ids"][rows],
                                   _verified(blob["X"], rows, QV[qid])))
             return _cand_frame(parts)
 
-        sdf = self.index.probe(_probe, schema=CAND_SCHEMA, pids=pids)
+        sdf = self.index.probe(_probe, schema=CAND_SCHEMA, pids=list(plan))
         return sdf.toPandas()
+
+    def _enlarge(self, Q: np.ndarray, k: int, *, r0: float, budget: float,
+                 max_rounds: int) -> tuple[list[Result], dict[int, int], list[int]]:
+        """:func:`enlarge_radius` over this index's probe rounds for the rows
+        of ``Q``, each original-space radius r probed at ``t * r``."""
+        QP = dict(enumerate(self.proj.project(Q)))
+        QV = dict(enumerate(Q))
+        return enlarge_radius(
+            len(Q), k, r0=r0, c=self.ci.c,
+            probe=lambda radii: self._probe_round(
+                QP, QV, {i: self.ci.projected_radius(r) for i, r in radii.items()}),
+            budget=budget, max_rounds=max_rounds)
 
     # ---- queries ---------------------------------------------------------
     def query_batch(self, Q: np.ndarray, k: int = 50, *, max_rounds: int = 64
@@ -368,16 +371,11 @@ class PMLSH:
         """(c,k)-ANN (Algorithm 2) for every row of ``Q``; returns
         ``[(ids, dists), ...]`` ranked ascending, one per query."""
         Q = query_matrix(Q, k, self.n)
-        QP = dict(enumerate(self.proj.project(Q)))
-        QV = dict(enumerate(Q))
-        results, probed = enlarge_radius(
-            len(Q), k, r0=self.r_min(k), c=self.ci.c,
-            probe=lambda radii, _: self._probe_round(
-                QP, QV, {i: self.ci.projected_radius(r) for i, r in radii.items()}),
-            budget=min(self.beta * self.n + k, self.n), max_rounds=max_rounds)
         # candidates whose true distances were verified, per query — the
         # hardware-independent cost the paper's timing reflects
-        self.last_probed = probed
+        results, self.last_probed, _ = self._enlarge(
+            Q, k, r0=self.r_min(k), budget=min(self.beta * self.n + k, self.n),
+            max_rounds=max_rounds)
         return results
 
     def query(self, q: np.ndarray, k: int = 50, **kw) -> Result:
@@ -385,14 +383,15 @@ class PMLSH:
         return self.query_batch(np.asarray(q)[None, :], k, **kw)[0]
 
     def ball_cover(self, q: np.ndarray, r: float) -> tuple[int, float] | None:
-        """(r,c)-BC query (Algorithm 1): a point in B(q, c*r), or None."""
-        q = query_matrix(q, 1, self.n)[0]
-        QP = {0: self.proj.project(q)[0]}
-        got = self._probe_round(QP, {0: q}, {0: self.ci.projected_radius(r)})
-        if len(got) == 0:
+        """(r,c)-BC query (Algorithm 1): a point in B(q, c*r), or None.
+
+        Algorithm 1 is one round of Algorithm 2's loop at radius ``r``,
+        with k = 1 and the budget beta*n + 1.
+        """
+        results, _, unfinished = self._enlarge(
+            query_matrix(q, 1, self.n), 1, r0=r, budget=self.beta * self.n + 1,
+            max_rounds=1)
+        if unfinished:
             return None
-        ids, dists = _topk(*_cand_arrays(got)[1:], 1)
-        best_id, best_d = int(ids[0]), float(dists[0])
-        if len(got) >= self.beta * self.n + 1 or best_d <= self.ci.c * r:
-            return best_id, best_d
-        return None
+        ids, dists = results[0]
+        return int(ids[0]), float(dists[0])

@@ -3,9 +3,10 @@ executor-side true-distance verification (``_verified``).
 
 ``enlarge_radius`` is driven by a scripted fake probe over a fixed world
 of ``qid -> {id: (dist, reach)}``: a point is found once the round's
-radius reaches ``reach``. Superset probes return every point found so far
-(PM-LSH, R-LSH); incremental probes return only ids not in ``seen``
-(QALSH).
+radius reaches ``reach``. As the probe contract requires, each round
+returns every point found so far for each active query. The shuffled
+variant returns a round's rows in a seeded random order, as rows from
+Spark partitions interleave queries in no fixed order.
 """
 import numpy as np
 import pandas as pd
@@ -24,14 +25,16 @@ WORLD = {
 K, C, R0, BUDGET = 2, 2.0, 1.0, 5
 
 
-def _scripted(world, *, incremental):
+def _scripted(world, *, shuffled):
     calls = []
+    rng = np.random.default_rng(0)
 
-    def probe(radii, seen):
-        calls.append((dict(radii), {q: sorted(map(int, s)) for q, s in seen.items()}))
+    def probe(radii):
+        calls.append(dict(radii))
         rows = [(q, i, d) for q, r in radii.items()
-                for i, (d, reach) in world[q].items()
-                if reach <= r and not (incremental and i in seen[q])]
+                for i, (d, reach) in world[q].items() if reach <= r]
+        if shuffled:
+            rows = [rows[j] for j in rng.permutation(len(rows))]
         return pd.DataFrame(rows, columns=["qid", "id", "dist"])
 
     return probe, calls
@@ -47,16 +50,12 @@ def _brute_topk(found, k):
             np.array([d for _, d in best], dtype=np.float64))
 
 
-@pytest.mark.parametrize("incremental", [False, True])
-def test_enlarge_radius_stops_on_k_and_budget(incremental):
-    probe, calls = _scripted(WORLD, incremental=incremental)
-    results, probed = enlarge_radius(2, K, r0=R0, c=C, probe=probe,
-                                     budget=BUDGET, max_rounds=10)
-    assert [radii for radii, _ in calls] == [{0: 1.0, 1: 1.0}, {0: 2.0, 1: 2.0},
-                                             {1: 4.0}]
-    # seen holds exactly the ids verified in earlier rounds
-    assert [seen for _, seen in calls] == [
-        {0: [], 1: []}, {0: [10, 11], 1: [20]}, {1: [20, 21, 22]}]
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_enlarge_radius_stops_on_k_and_budget(shuffled):
+    probe, calls = _scripted(WORLD, shuffled=shuffled)
+    results, probed, unfinished = enlarge_radius(2, K, r0=R0, c=C, probe=probe,
+                                                 budget=BUDGET, max_rounds=10)
+    assert calls == [{0: 1.0, 1: 1.0}, {0: 2.0, 1: 2.0}, {1: 4.0}]
     final_r = {0: 2.0, 1: 4.0}
     for q in (0, 1):
         found = _found(WORLD, q, final_r[q])
@@ -67,16 +66,18 @@ def test_enlarge_radius_stops_on_k_and_budget(incremental):
         assert ids.dtype == np.int64 and dists.dtype == np.float64
         assert probed[q] == len(found)
     assert probed == {0: 3, 1: 5}
+    assert unfinished == []
 
 
-@pytest.mark.parametrize("incremental", [False, True])
-def test_enlarge_radius_round_cap_is_best_effort(incremental):
-    probe, calls = _scripted(WORLD, incremental=incremental)
-    results, probed = enlarge_radius(2, K, r0=R0, c=C, probe=probe,
-                                     budget=100, max_rounds=2)
-    assert [radii for radii, _ in calls] == [{0: 1.0, 1: 1.0}, {0: 2.0, 1: 2.0}]
-    # query 1 has no point within c*r = 4 when the rounds run out: it
-    # returns the top-k of what it has
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_enlarge_radius_round_cap_is_best_effort(shuffled):
+    probe, calls = _scripted(WORLD, shuffled=shuffled)
+    results, probed, unfinished = enlarge_radius(2, K, r0=R0, c=C, probe=probe,
+                                                 budget=100, max_rounds=2)
+    assert calls == [{0: 1.0, 1: 1.0}, {0: 2.0, 1: 2.0}]
+    # query 1 has no point within c*r = 4 when the rounds run out: it is
+    # reported unfinished and returns the top-k of what it has
+    assert unfinished == [1]
     found = _found(WORLD, 1, 2.0)
     want_ids, want_dists = _brute_topk(found, K)
     np.testing.assert_array_equal(results[1][0], want_ids)
@@ -86,15 +87,15 @@ def test_enlarge_radius_round_cap_is_best_effort(incremental):
 
 def _reference_loop(nq, k, *, r0, c, probe, budget, max_rounds):
     """Algorithm 2's loop over per-query dicts: the merge as it was written
-    before it kept its candidates in arrays."""
+    before it kept its candidates in arrays. It takes the union of a
+    query's rounds, which equals the last round when rounds are supersets."""
     r = {i: r0 for i in range(nq)}
     cand = {i: {} for i in range(nq)}
     active = set(range(nq))
     for _ in range(max_rounds):
         if not active:
             break
-        got = probe({i: r[i] for i in sorted(active)},
-                    {i: np.fromiter(cand[i], dtype=np.int64) for i in sorted(active)})
+        got = probe({i: r[i] for i in sorted(active)})
         for qid, grp in got.groupby("qid"):
             cand[int(qid)].update(zip(grp["id"].astype(int), grp["dist"].astype(float)))
         done = set()
@@ -106,12 +107,12 @@ def _reference_loop(nq, k, *, r0, c, probe, budget, max_rounds):
                 r[i] *= c
         active -= done
     results = [_brute_topk(C, k) for C in cand.values()]
-    return results, {i: len(C) for i, C in cand.items()}
+    return results, {i: len(C) for i, C in cand.items()}, sorted(active)
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("incremental", [False, True])
-def test_enlarge_radius_equals_dict_loop(seed, incremental):
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_enlarge_radius_equals_dict_loop(seed, shuffled):
     rng = np.random.default_rng(seed)
     nq, k = 7, 5
     world = {q: {int(i): (float(d), float(reach)) for i, d, reach in zip(
@@ -120,26 +121,28 @@ def test_enlarge_radius_equals_dict_loop(seed, incremental):
                  1.5 ** rng.integers(0, 8, size=40))}
              for q in range(nq)}
     kw = dict(r0=1.0, c=1.5, budget=18, max_rounds=3)
-    probe, calls = _scripted(world, incremental=incremental)
-    results, probed = enlarge_radius(nq, k, probe=probe, **kw)
-    probe, ref_calls = _scripted(world, incremental=incremental)
-    ref_results, ref_probed = _reference_loop(nq, k, probe=probe, **kw)
+    probe, calls = _scripted(world, shuffled=shuffled)
+    results, probed, unfinished = enlarge_radius(nq, k, probe=probe, **kw)
+    probe, ref_calls = _scripted(world, shuffled=shuffled)
+    ref_results, ref_probed, ref_unfinished = _reference_loop(nq, k, probe=probe, **kw)
     assert calls == ref_calls
     assert probed == ref_probed
+    assert unfinished == ref_unfinished
     for (ids, dists), (ref_ids, ref_dists) in zip(results, ref_results):
         np.testing.assert_array_equal(ids, ref_ids)
         np.testing.assert_array_equal(dists, ref_dists)
 
 
 def test_enlarge_radius_with_no_candidates():
-    probe, calls = _scripted({0: {}}, incremental=False)
-    results, probed = enlarge_radius(1, K, r0=R0, c=C, probe=probe,
-                                     budget=BUDGET, max_rounds=3)
-    assert [radii for radii, _ in calls] == [{0: 1.0}, {0: 2.0}, {0: 4.0}]
+    probe, calls = _scripted({0: {}}, shuffled=False)
+    results, probed, unfinished = enlarge_radius(1, K, r0=R0, c=C, probe=probe,
+                                                 budget=BUDGET, max_rounds=3)
+    assert calls == [{0: 1.0}, {0: 2.0}, {0: 4.0}]
     ids, dists = results[0]
     assert len(ids) == len(dists) == 0
     assert ids.dtype == np.int64 and dists.dtype == np.float64
     assert probed == {0: 0}
+    assert unfinished == [0]
 
 
 @pytest.mark.parametrize("seed", range(20))

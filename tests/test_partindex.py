@@ -60,7 +60,7 @@ def test_summaries_are_driver_side_dicts(built):
 def test_probe_runs_on_every_partition(built):
     idx, X = built
 
-    def probe_fn(blob, summary, pid):
+    def probe_fn(blob, pid):
         return pd.DataFrame(
             {
                 "pid": np.full(len(blob["ids"]), pid, dtype=np.int32),
@@ -80,7 +80,7 @@ def test_probe_pid_filter(built, tmp_path):
     all_pids = sorted(idx.summaries)
     calls_dir = str(tmp_path)
 
-    def probe_fn(blob, summary, pid):
+    def probe_fn(blob, pid):
         # one file per call (executors share the driver's filesystem in
         # local mode), so the pids probe_fn sees are recorded on the driver
         open(os.path.join(calls_dir, f"{pid}-{uuid.uuid4().hex}"), "w").close()
@@ -119,7 +119,7 @@ def test_probe_pid_filter(built, tmp_path):
 
 def test_probe_empty_result(built):
     idx, _ = built
-    out = idx.probe(lambda b, s, p: None, schema=OUT_SCHEMA).toPandas()
+    out = idx.probe(lambda b, p: None, schema=OUT_SCHEMA).toPandas()
     assert len(out) == 0
 
 
