@@ -27,6 +27,7 @@ from repro.core.pmlsh import (
     _topk_per_query,
     query_matrix,
 )
+from repro.core.projection import vector_dim
 
 __all__ = ["exact_knn_arrays"]
 
@@ -35,10 +36,12 @@ def exact_knn_arrays(vectors: DataFrame, Q: np.ndarray, k: int) -> list[Result]:
     """Exact kNN as ``[(ids, dists), ...]`` per query, ranked ascending by
     ``(dist, id)``; a k above the row count returns every row.
 
-    Raises ``ValueError`` on the driver, before any Spark job, for a
-    non-finite query or k < 1.
+    Raises ``ValueError`` on the driver, before the distance pass, for a
+    non-finite query, k < 1, empty vectors or a query of another width.
     """
     Q = query_matrix(Q, k, math.inf)
+    if Q.shape[1] != (d := vector_dim(vectors)):
+        raise ValueError(f"expected dim {d}, got {Q.shape[1]}")
 
     def _local_topk(batches):
         skip_spark_archive_rereads()

@@ -14,6 +14,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.exact import exact_knn_arrays
 from repro.core.pmlsh import Result, query_matrix
+from repro.core.projection import vector_dim
 
 __all__ = ["LScan"]
 
@@ -25,12 +26,14 @@ class LScan:
                  fraction: float = 0.7, seed: int = 0):
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        self.fraction = fraction
+        self.d = vector_dim(vectors)
         self.sample = vectors.sample(fraction=fraction, seed=seed).cache()
         self.n_sampled = self.sample.count()
 
     def query_batch(self, Q: np.ndarray, k: int = 50) -> list[Result]:
         Q = query_matrix(Q, k, self.n_sampled)
+        if Q.shape[1] != self.d:
+            raise ValueError(f"expected dim {self.d}, got {Q.shape[1]}")
         # every sampled point's distance is computed for every query
         self.last_probed = {i: self.n_sampled for i in range(len(Q))}
         return exact_knn_arrays(self.sample, Q, k)

@@ -101,7 +101,7 @@ class QALSH:
                    ) -> tuple[dict, dict]:
             order = np.argsort(H, axis=0, kind="stable")  # per-column B+-tree
             sorted_h = np.take_along_axis(H, order, axis=0)
-            return {"H": H, "sorted_h": sorted_h, "order": order, "X": X, "ids": ids}, {}
+            return {"sorted_h": sorted_h, "order": order, "X": X, "ids": ids}, {}
 
         index = PartitionedIndex.build(spark, pre.assigned, _build, name="qalsh")
         return cls(proj=pre.proj, index=index, F=pre.F, n=pre.n,

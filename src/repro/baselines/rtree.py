@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.pmtree import _ranges
+from repro.core.pmtree import FlatTree, _ranges
 
 __all__ = ["RTree"]
 
@@ -64,7 +64,7 @@ def _str_tiles(pts: np.ndarray, cap: int) -> list[np.ndarray]:
     return rec(np.arange(n), 0)
 
 
-class RTree:
+class RTree(FlatTree):
     """STR bulk-loaded R-tree over an (n, m) point matrix."""
 
     def __init__(self, X: np.ndarray, *, capacity: int = 16):
@@ -101,16 +101,7 @@ class RTree:
         self.points = X[self.perm]
         self.reset_counters()
 
-    @property
-    def entries(self) -> np.ndarray:
-        """Entries per node: children of an inner node, points of a leaf."""
-        return np.where(self.n_children > 0, self.n_children, self.hi - self.lo)
-
     # ---- query -----------------------------------------------------------
-    def reset_counters(self) -> None:
-        self.cc = 0
-        self.nodes_accessed = 0
-
     def range_query(self, q: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
         """Row indices within distance ``r`` of ``q`` plus their distances.
 
@@ -142,18 +133,8 @@ class RTree:
     # ---- test hook -------------------------------------------------------
     def check_invariants(self) -> None:
         """Assert the layout and that every MBR contains its points."""
-        n_nodes = len(self.n_children)
-        kids = _ranges(self.first_child, self.first_child + self.n_children)
-        assert np.array_equal(kids, np.arange(1, n_nodes)), "children not in BFS order"
-        for i in range(n_nodes):
+        self._check_layout()
+        for i in range(len(self.n_children)):
             pts = self.points[self.lo[i]:self.hi[i]]
             assert len(pts) and np.all(pts >= self.mbr_lo[i]) \
                 and np.all(pts <= self.mbr_hi[i]), "MBR must contain its points"
-            if self.n_children[i]:
-                ch = slice(self.first_child[i], self.first_child[i] + self.n_children[i])
-                assert self.lo[ch][0] == self.lo[i] and self.hi[ch][-1] == self.hi[i] \
-                    and np.array_equal(self.lo[ch][1:], self.hi[ch][:-1]), \
-                    "children must tile their parent's points"
-        assert self.lo[0] == 0 and self.hi[0] == len(self.points)
-        assert np.array_equal(np.sort(self.perm), np.arange(len(self.perm))), \
-            "tree must cover every point once"

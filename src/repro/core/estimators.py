@@ -78,20 +78,21 @@ def estimator_study(X: np.ndarray, Q: np.ndarray, *, m: int = 15, k: int = 100,
         w = float(np.percentile(pd_sample, 20))
     proj = GaussianProjection(X.shape[1], m, seed=seed, w=w)
     P = proj.project(X)
+    # each query's exact distances and each (estimator, query) ranking serve every T
+    D = [np.linalg.norm(X - q[None, :], axis=1) for q in Q]
+    exact = [np.argsort(d, kind="stable")[:k] for d in D]
     out: dict[str, dict[int, dict[str, float]]] = {e: {} for e in ESTIMATORS}
     for e in ESTIMATORS:
+        ranked = [np.argsort(estimate(e, P, proj.project(q)[0], proj=proj,
+                                      seed=seed + qi), kind="stable")
+                  for qi, q in enumerate(Q)]
         for T in T_values:
             ratios, recalls = [], []
-            for qi, q in enumerate(Q):
-                d = np.linalg.norm(X - q[None, :], axis=1)
-                exact_idx = np.argsort(d, kind="stable")[:k]
-                est = estimate(e, P, proj.project(q)[0], proj=proj, seed=seed + qi)
-                cand = np.argsort(est, kind="stable")[: min(T, len(X))]
+            for d, exact_idx, order in zip(D, exact, ranked):
+                cand = order[: min(T, len(X))]
                 best = cand[np.argsort(d[cand], kind="stable")[:k]]
                 ratios.append(overall_ratio(d[best], d[exact_idx]))
                 recalls.append(recall(best, exact_idx, d[best], d[exact_idx]))
-            out[e][T] = {
-                "recall": float(np.mean(recalls)),
-                "ratio": float(np.mean(ratios)),
-            }
+            out[e][T] = {"recall": float(np.mean(recalls)),
+                         "ratio": float(np.mean(ratios))}
     return out

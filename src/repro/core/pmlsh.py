@@ -9,8 +9,8 @@ Build (Section 4.1, adapted to the distributed dataflow of this repo):
 3. per partition, build a PM-tree over the projected points with a
    *global* pivot set, and persist ``{tree, ids, X}`` as an index blob
    (``repro.core.partindex``). Each partition also reports a ball+ring
-   summary, which the driver uses to plan each query pass — the same
-   geometry as a PM-tree inner node, one level up.
+   summary, which the driver uses to plan each query pass: a PM-tree
+   node's region one level up, built and tested by ``repro.core.pmtree``.
 
 Query:
 
@@ -25,8 +25,8 @@ Query:
   query, and its rows replace that query's earlier ones.
 - Queries are processed in *batches*: one Spark pass per radius round
   serves every still-active query, so the driver loop runs O(1) rounds,
-  not O(rounds * queries). The driver plans each pass: the ball+ring test
-  picks, per partition, the queries whose ball can touch it.
+  not O(rounds * queries). The driver plans each pass with one vectorised
+  region test per partition, which picks the queries whose ball can touch it.
 
 Shared by every distributed index in the repo (the baselines import them
 from here):
@@ -62,7 +62,8 @@ from pyspark.sql.types import (
 from repro.core.confidence import ConfidenceInterval
 from repro.core.partindex import PartitionedIndex
 from repro.core.partitioner import assign_partitions, kmeans
-from repro.core.pmtree import PMTree, select_pivots
+from repro.core.pmtree import (PMTree, _pivot_dists, region, region_touched,
+                               select_pivots)
 from repro.core.projection import GaussianProjection, vector_dim
 from repro.costmodel import DistanceDistribution
 
@@ -239,15 +240,9 @@ def enlarge_radius(nq: int, k: int, *, r0: float, c: float,
 # ---- PM-LSH ----------------------------------------------------------------
 def _partition_pruned(summary: dict, qp: np.ndarray, qpiv: np.ndarray,
                       pradius: float) -> bool:
-    """True if the query ball B(qp, pradius) cannot touch this partition."""
-    if float(np.linalg.norm(qp - summary["ro"])) > summary["radius"] + pradius:
-        return True
-    hr = summary["hr"]
-    if hr.shape[0] and (
-        np.any(qpiv - pradius > hr[:, 1]) or np.any(qpiv + pradius < hr[:, 0])
-    ):
-        return True
-    return False
+    """True if B(qp, pradius) misses the partition: one-pair ``region_touched``."""
+    return not region_touched(summary["ro"], summary["radius"], summary["hr"],
+                              qp[None], qpiv[None], np.array([pradius]))[0]
 
 
 @dataclass
@@ -286,23 +281,10 @@ class PMLSH:
 
         def _build(ids: np.ndarray, P: np.ndarray, X: np.ndarray
                    ) -> tuple[dict, dict]:
-            tree = make_tree(P)
+            # a PM-tree node's region, with the global pivots whatever the tree
             ro = P.mean(axis=0)
-            radius = float(np.max(np.linalg.norm(P - ro[None, :], axis=1)))
-            # partition-level rings use the global pivots regardless of the
-            # inner tree type (PM-tree here, R-tree in the R-LSH baseline)
-            pd_mat = (
-                np.stack([np.linalg.norm(P - pv[None, :], axis=1) for pv in pivots],
-                         axis=1)
-                if len(pivots)
-                else np.zeros((len(P), 0))
-            )
-            hr = (
-                np.stack([pd_mat.min(axis=0), pd_mat.max(axis=0)], axis=1)
-                if pd_mat.shape[1]
-                else np.zeros((0, 2))
-            )
-            blob = {"tree": tree, "ids": ids, "X": X}
+            radius, hr = region(P, _pivot_dists(P, pivots), ro)
+            blob = {"tree": make_tree(P), "ids": ids, "X": X}
             return blob, {"ro": ro, "radius": radius, "hr": hr}
 
         index = PartitionedIndex.build(spark, pre.assigned, _build,
@@ -317,31 +299,31 @@ class PMLSH:
         r = self.F.quantile(target) * R_MIN_SHRINK
         return max(r, 1e-9)
 
+    def _plan(self, QP: dict[int, np.ndarray], radii: dict[int, float]
+              ) -> dict[int, list[int]]:
+        """``pid -> qids``, in ``radii`` order, of the query balls that can
+        touch each partition: one region test per partition for all queries."""
+        qids, r = np.array(list(radii)), np.array(list(radii.values()))
+        Q = np.stack([QP[qid] for qid in radii])
+        QPD = np.linalg.norm(Q[:, None, :] - self.pivots[None], axis=2)
+        touched = {pid: region_touched(s["ro"], s["radius"], s["hr"], Q, QPD, r)
+                   for pid, s in self.index.summaries.items()}
+        return {pid: qids[t].tolist() for pid, t in touched.items() if t.any()}
+
     def _probe_round(self, QP: dict[int, np.ndarray], QV: dict[int, np.ndarray],
                      radii: dict[int, float]) -> pd.DataFrame:
         """One Spark pass: every candidate of each active query at its radius.
 
         ``radii`` maps qid -> *projected-space* radius (already t*r). The
-        driver plans the pass: the ball+ring test gives each partition the
-        queries whose ball can touch it (``plan``: pid -> qids). Only planned
-        partitions are probed, each for its planned queries only.
+        driver plans the pass (:meth:`_plan`); only planned partitions are
+        probed, each for its planned queries only.
         """
-        qpiv = {
-            qid: np.linalg.norm(self.pivots - QP[qid][None, :], axis=1)
-            if len(self.pivots) else np.zeros(0)
-            for qid in radii
-        }
-        plan = {}
-        for pid, summ in self.index.summaries.items():
-            qids = [qid for qid, pr in radii.items()
-                    if not _partition_pruned(summ, QP[qid], qpiv[qid], pr)]
-            if qids:
-                plan[pid] = qids
+        plan = self._plan(QP, radii)
         if not plan:
             return pd.DataFrame(columns=["qid", "id", "dist"])
 
         def _probe(blob: dict, pid: int) -> pd.DataFrame | None:
-            tree: PMTree = blob["tree"]
+            tree = blob["tree"]
             parts = []
             for qid in plan[pid]:
                 rows, _ = tree.range_query(QP[qid], radii[qid])

@@ -30,12 +30,14 @@ against the analytic cost model of ``repro.costmodel``.
 Queries return *row indices* into the point matrix the tree was built on,
 so the same structure serves the driver-local path and the per-Spark-
 partition path (where that matrix's rows line up with the blob's ids).
+A PM-LSH partition summary is the same region one level up: ``region``
+builds both, and ``region_touched`` (Eq. 5) plans PM-LSH's probe rounds.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PMTree", "select_pivots"]
+__all__ = ["FlatTree", "PMTree", "select_pivots", "region", "region_touched"]
 
 
 def _dists(X: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -55,6 +57,26 @@ def _pivot_dists(X: np.ndarray, pivots: np.ndarray) -> np.ndarray:
     if not len(pivots):
         return np.zeros((len(X), 0))
     return np.stack([_dists(X, p) for p in pivots], axis=1)
+
+
+def region(P: np.ndarray, PD: np.ndarray, ro: np.ndarray) -> tuple[float, np.ndarray]:
+    """The covering radius of points ``P`` around ``ro`` and the (s, 2)
+    per-pivot [min, max] rings of their pivot distances ``PD``."""
+    return (float(_dists(P, ro).max()),
+            np.stack([PD.min(axis=0), PD.max(axis=0)], axis=1))
+
+
+def _rings_touched(lo: np.ndarray, hi: np.ndarray, hr: np.ndarray) -> np.ndarray:
+    """Whether pivot-distance intervals [lo, hi] meet every ring of hr (..., s, 2)."""
+    return ~(np.any(lo > hr[..., 1], axis=-1) | np.any(hi < hr[..., 0], axis=-1))
+
+
+def region_touched(ro: np.ndarray, radius: float, hr: np.ndarray, Q: np.ndarray,
+                   QPD: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Eq. 5 for one region and many queries: whether each ball B(Q[i], r[i]),
+    with pivot distances QPD[i], meets the ball (ro, radius) and the rings hr."""
+    return ((_ro_dists(Q, ro) <= radius + r)
+            & _rings_touched(QPD - r[:, None], QPD + r[:, None], hr))
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -87,7 +109,7 @@ def _ball_partition(X: np.ndarray, PD: np.ndarray, capacity: int,
                     rng: np.random.Generator) -> tuple[list[tuple], list[np.ndarray]]:
     """Recursive ball partitioning of ``X``; ``PD`` holds its pivot distances.
 
-    Returns the nodes in preorder as ``(ro, radius, pd, hr, parent, lo,
+    Returns the nodes in preorder as ``(ro, radius, hr, pd, parent, lo,
     size)`` tuples (``parent`` is a preorder index, -1 at the root) and the
     leaves' rows in preorder, whose concatenation is the leaf order that
     ``lo`` and ``size`` index.
@@ -98,9 +120,8 @@ def _ball_partition(X: np.ndarray, PD: np.ndarray, capacity: int,
 
     def make(rows: np.ndarray, ro: np.ndarray, parent: int, leaf: bool) -> int:
         nonlocal n_leaf_rows
-        hr = np.stack([PD[rows].min(axis=0), PD[rows].max(axis=0)], axis=1)
         pd = float(np.linalg.norm(ro - nodes[parent][0])) if parent >= 0 else 0.0
-        nodes.append((ro, float(_dists(X[rows], ro).max()), pd, hr, parent,
+        nodes.append((ro, *region(X[rows], PD[rows], ro), pd, parent,
                       n_leaf_rows, len(rows)))
         if leaf:
             leaf_rows.append(rows)
@@ -137,7 +158,35 @@ def _ball_partition(X: np.ndarray, PD: np.ndarray, capacity: int,
     return nodes, leaf_rows
 
 
-class PMTree:
+class FlatTree:
+    """The array layout the PM-tree and the R-tree share: nodes in BFS order
+    with contiguous children, points in leaf order, ``perm`` to input rows."""
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Entries per node: children of an inner node, points of a leaf."""
+        return np.where(self.n_children > 0, self.n_children, self.hi - self.lo)
+
+    def reset_counters(self) -> None:
+        self.cc = 0          # distance computations (paper's CC metric)
+        self.nodes_accessed = 0
+
+    def _check_layout(self) -> None:
+        """Assert BFS-ordered children that tile their parent's points."""
+        kids = _ranges(self.first_child, self.first_child + self.n_children)
+        assert np.array_equal(kids, np.arange(1, len(self.n_children))), \
+            "children not in BFS order"
+        for i in np.flatnonzero(self.n_children):
+            ch = slice(self.first_child[i], self.first_child[i] + self.n_children[i])
+            assert self.lo[ch][0] == self.lo[i] and self.hi[ch][-1] == self.hi[i] \
+                and np.array_equal(self.lo[ch][1:], self.hi[ch][:-1]), \
+                "children must tile their parent's points"
+        assert self.lo[0] == 0 and self.hi[0] == len(self.points)
+        assert np.array_equal(np.sort(self.perm), np.arange(len(self.perm))), \
+            "tree must cover every point once"
+
+
+class PMTree(FlatTree):
     """Bulk-loaded PM-tree over an (n, m) point matrix."""
 
     def __init__(self, X: np.ndarray, *, n_pivots: int = 5, capacity: int = 16,
@@ -154,7 +203,7 @@ class PMTree:
         )
         nodes, leaf_rows = _ball_partition(X, _pivot_dists(X, self.pivots),
                                            int(capacity), np.random.default_rng(seed + 1))
-        ro, radius, pd, hr, parent, lo, size = zip(*nodes)
+        ro, radius, hr, pd, parent, lo, size = zip(*nodes)
         # preorder -> BFS order: a stable sort by depth keeps every node's
         # children together and in order
         parent = np.array(parent)
@@ -176,16 +225,7 @@ class PMTree:
         self.points = X[self.perm]
         self.reset_counters()
 
-    @property
-    def entries(self) -> np.ndarray:
-        """Entries per node: children of an inner node, points of a leaf."""
-        return np.where(self.n_children > 0, self.n_children, self.hi - self.lo)
-
     # ---- query -----------------------------------------------------------
-    def reset_counters(self) -> None:
-        self.cc = 0          # distance computations (paper's CC metric)
-        self.nodes_accessed = 0
-
     def range_query(self, q: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
         """All row indices with ``||X[i], q|| <= r`` plus their distances.
 
@@ -205,9 +245,7 @@ class PMTree:
         leaves = [np.empty(0, dtype=np.intp)]
         while len(frontier):
             self.nodes_accessed += len(frontier)
-            hr = self.hr[frontier]
-            rings = ~(np.any(q_lo > hr[:, :, 1], axis=1)
-                      | np.any(q_hi < hr[:, :, 0], axis=1))
+            rings = _rings_touched(q_lo, q_hi, self.hr[frontier])
             frontier, dist = frontier[rings], dist[rings]
             n_ch = self.n_children[frontier]
             leaves.append(frontier[n_ch == 0])
@@ -232,23 +270,14 @@ class PMTree:
     # ---- test hook -------------------------------------------------------
     def check_invariants(self) -> None:
         """Assert the layout and radius/ring containment of every node."""
-        n_nodes = len(self.radius)
+        self._check_layout()
         PD = _pivot_dists(self.points, self.pivots)
-        kids = _ranges(self.first_child, self.first_child + self.n_children)
-        assert np.array_equal(kids, np.arange(1, n_nodes)), "children not in BFS order"
-        for i in range(n_nodes):
+        for i in range(len(self.radius)):
             span = slice(self.lo[i], self.hi[i])
             d = _dists(self.points[span], self.ro[i])
             assert np.all(d <= self.radius[i] + 1e-9), "covering radius violated"
             assert np.all(PD[span] >= self.hr[i, :, 0][None, :] - 1e-9), "ring min violated"
             assert np.all(PD[span] <= self.hr[i, :, 1][None, :] + 1e-9), "ring max violated"
-            if self.n_children[i]:
-                ch = slice(self.first_child[i], self.first_child[i] + self.n_children[i])
-                assert self.lo[ch][0] == self.lo[i] and self.hi[ch][-1] == self.hi[i] \
-                    and np.array_equal(self.lo[ch][1:], self.hi[ch][:-1]), \
-                    "children must tile their parent's points"
-                pd = _ro_dists(self.ro[ch], self.ro[i])
-                assert np.allclose(self.pd[ch], pd, rtol=0, atol=1e-9), "parent distance"
-        assert self.lo[0] == 0 and self.hi[0] == len(self.points)
-        assert np.array_equal(np.sort(self.perm), np.arange(len(self.perm))), \
-            "tree must cover every point once"
+            ch = slice(self.first_child[i], self.first_child[i] + self.n_children[i])
+            pd = _ro_dists(self.ro[ch], self.ro[i])
+            assert np.allclose(self.pd[ch], pd, rtol=0, atol=1e-9), "parent distance"

@@ -101,16 +101,19 @@ def test_ties_within_one_partition_break_by_id(spark):
         np.testing.assert_array_equal(got_dist, d[order])
 
 
-@pytest.mark.parametrize("case", ["nan", "inf", "k=0", "k<0"])
+@pytest.mark.parametrize("case", ["nan", "inf", "k=0", "k<0", "dim"])
 def test_exact_knn_rejects_bad_input_before_spark(case, data, monkeypatch):
-    """A non-finite query or k < 1 fails on the driver: no Spark job starts,
-    and no query silently gets an empty ground truth."""
+    """A non-finite query, k < 1 or a query of the wrong width fails on the
+    driver: the distance pass never starts, and no query silently gets an
+    empty ground truth or an executor error."""
     df, X, Q = data
     Q, k = Q.copy(), 5
     if case == "nan":
         Q[1, 3] = np.nan
     elif case == "inf":
         Q[0, 0] = -np.inf
+    elif case == "dim":
+        Q = Q[:, :-1]
     else:
         k = 0 if case == "k=0" else -1
 

@@ -95,6 +95,8 @@ def test_ball_cover_rejects_non_finite_query(pmlsh_index, audio_small,
         pmlsh_index.ball_cover(q, 1.0)
 
 
-def test_wrong_dimension_still_rejected(pmlsh_index, audio_small, no_spark_jobs):
-    with pytest.raises(ValueError):
-        pmlsh_index.query_batch(audio_small[1][:, :-1], K)
+def test_wrong_dimension_still_rejected(request, audio_small, no_spark_jobs):
+    for fixture in INDEXES:
+        index = request.getfixturevalue(fixture)
+        with pytest.raises(ValueError, match="dim"):
+            index.query_batch(audio_small[1][:, :-1], K)
