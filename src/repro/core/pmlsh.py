@@ -26,7 +26,9 @@ Query:
 - Queries are processed in *batches*: one Spark pass per radius round
   serves every still-active query, so the driver loop runs O(1) rounds,
   not O(rounds * queries). The driver plans each pass with one vectorised
-  region test per partition, which picks the queries whose ball can touch it.
+  region test per partition, which picks the queries whose ball can touch it;
+  each probed partition then serves all of its planned queries with one
+  PM-tree walk.
 
 Shared by every distributed index in the repo (the baselines import them
 from here):
@@ -316,21 +318,20 @@ class PMLSH:
 
         ``radii`` maps qid -> *projected-space* radius (already t*r). The
         driver plans the pass (:meth:`_plan`); only planned partitions are
-        probed, each for its planned queries only.
+        probed, each for its planned queries only, with one tree walk
+        (``range_query_batch``) for all of them.
         """
         plan = self._plan(QP, radii)
         if not plan:
             return pd.DataFrame(columns=["qid", "id", "dist"])
 
         def _probe(blob: dict, pid: int) -> pd.DataFrame | None:
-            tree = blob["tree"]
-            parts = []
-            for qid in plan[pid]:
-                rows, _ = tree.range_query(QP[qid], radii[qid])
-                if len(rows):
-                    parts.append((qid, blob["ids"][rows],
-                                  _verified(blob["X"], rows, QV[qid])))
-            return _cand_frame(parts)
+            qids = plan[pid]
+            hits = blob["tree"].range_query_batch(
+                np.stack([QP[qid] for qid in qids]), [radii[qid] for qid in qids])
+            return _cand_frame([(qid, blob["ids"][rows],
+                                 _verified(blob["X"], rows, QV[qid]))
+                                for qid, (rows, _) in zip(qids, hits) if len(rows)])
 
         sdf = self.index.probe(_probe, schema=CAND_SCHEMA, pids=list(plan))
         return sdf.toPandas()

@@ -23,7 +23,10 @@ contiguous:
 
 It serves the only query PM-LSH needs: ``range(q, r)`` with the pruning
 conditions of paper Eq. 5 plus the classic M-tree parent-distance filter,
-evaluated level by level over the whole frontier at once. Distance
+evaluated level by level over the whole frontier at once. The frontier
+holds ``(query, node)`` pairs, so one walk (``range_query_batch``) serves
+a batch of queries, each with its own radius; ``range_query`` is its
+one-query case. Distance
 computations are counted (``CC``) so the empirical cost can be checked
 against the analytic cost model of ``repro.costmodel``.
 
@@ -46,17 +49,17 @@ def _dists(X: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _ro_dists(R: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(R[i] - q)`` for every row, bit for bit (one dot per
-    row), so a pruning decision does not depend on how many nodes share a level."""
-    D = R - q[None, :]
+    """``np.linalg.norm(R[i] - q)`` (or ``- q[i]`` for a matrix ``q``) for
+    every row, bit for bit (one dot per row), so a pruning decision does not
+    depend on how many nodes or queries share a level."""
+    D = R - q
     return np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
 
 
 def _pivot_dists(X: np.ndarray, pivots: np.ndarray) -> np.ndarray:
-    """(n, s) point-to-pivot distances."""
-    if not len(pivots):
-        return np.zeros((len(X), 0))
-    return np.stack([_dists(X, p) for p in pivots], axis=1)
+    """(n, s) point-to-pivot distances, each as ``_dists`` computes it."""
+    D = (X[:, None, :] - pivots[None, :, :]).reshape(-1, X.shape[1])
+    return np.sqrt(np.einsum("ij,ij->i", D, D)).reshape(len(X), len(pivots))
 
 
 def region(P: np.ndarray, PD: np.ndarray, ro: np.ndarray) -> tuple[float, np.ndarray]:
@@ -68,7 +71,7 @@ def region(P: np.ndarray, PD: np.ndarray, ro: np.ndarray) -> tuple[float, np.nda
 
 def _rings_touched(lo: np.ndarray, hi: np.ndarray, hr: np.ndarray) -> np.ndarray:
     """Whether pivot-distance intervals [lo, hi] meet every ring of hr (..., s, 2)."""
-    return ~(np.any(lo > hr[..., 1], axis=-1) | np.any(hi < hr[..., 0], axis=-1))
+    return ~((lo > hr[..., 1]) | (hi < hr[..., 0])).any(axis=-1)
 
 
 def region_touched(ro: np.ndarray, radius: float, hr: np.ndarray, Q: np.ndarray,
@@ -79,10 +82,18 @@ def region_touched(ro: np.ndarray, radius: float, hr: np.ndarray, Q: np.ndarray,
             & _rings_touched(QPD - r[:, None], QPD + r[:, None], hr))
 
 
+def _pair_rows(nq: int):
+    """``a[qid]``: the rows of per-query array ``a`` for the ``(query, node)``
+    pairs of an ``nq``-query walk. With one query every pair is its own, so
+    its rows broadcast and nothing is gathered. Rows are gathered with
+    ``take`` here and in the walks: it is faster than fancy indexing."""
+    return (lambda a, qid: a) if nq == 1 else (lambda a, qid: a.take(qid, axis=0))
+
+
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The concatenation of ``arange(lo[i], hi[i])`` over i."""
     n = hi - lo
-    return np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+    return (lo - n.cumsum() + n).repeat(n) + np.arange(n.sum())
 
 
 def select_pivots(X: np.ndarray, s: int, *, seed: int = 0) -> np.ndarray:
@@ -160,7 +171,8 @@ def _ball_partition(X: np.ndarray, PD: np.ndarray, capacity: int,
 
 class FlatTree:
     """The array layout the PM-tree and the R-tree share: nodes in BFS order
-    with contiguous children, points in leaf order, ``perm`` to input rows."""
+    with contiguous children, points in leaf order, ``perm`` to input rows;
+    and the parts of their batch walks that do not depend on the node region."""
 
     @property
     def entries(self) -> np.ndarray:
@@ -170,6 +182,26 @@ class FlatTree:
     def reset_counters(self) -> None:
         self.cc = 0          # distance computations (paper's CC metric)
         self.nodes_accessed = 0
+
+    def range_query(self, q: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """All row indices with ``||X[i], q|| <= r`` plus their distances:
+        the one-query case of the tree's ``range_query_batch``."""
+        return self.range_query_batch(np.asarray(q, dtype=np.float64)[None, :], [r])[0]
+
+    def _leaf_points(self, nq: int, qid: np.ndarray, leaves: np.ndarray
+                     ) -> list[np.ndarray]:
+        """For each of ``nq`` queries, the positions in ``points`` under the
+        leaves paired with it, leaves in ``lo`` (DFS) order: one gather per
+        query. Counts one distance computation per position."""
+        order = np.argsort(self.lo[leaves] + qid * len(self.points))
+        lo, hi = self.lo[leaves[order]], self.hi[leaves[order]]
+        idx = _ranges(lo, hi)
+        self.cc += len(idx)
+        if nq == 1:  # nothing to group
+            return [idx]
+        ends = np.concatenate([[0], np.cumsum(hi - lo)])
+        bounds = ends[np.searchsorted(qid[order], np.arange(nq + 1))]
+        return [idx[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     def _check_layout(self) -> None:
         """Assert BFS-ordered children that tile their parent's points."""
@@ -226,46 +258,57 @@ class PMTree(FlatTree):
         self.reset_counters()
 
     # ---- query -----------------------------------------------------------
-    def range_query(self, q: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """All row indices with ``||X[i], q|| <= r`` plus their distances.
+    def range_query_batch(self, Q: np.ndarray, r: np.ndarray
+                          ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``range_query(Q[i], r[i])`` for every row of ``Q``, in one walk.
 
         Implements the access condition of paper Eq. 5: a subtree is
         visited only if the query ball intersects the node ball *and*
         every pivot ring. The parent-distance filter
         ``|d(q, parent) - e.pd| > r + e.radius`` prunes without a fresh
-        distance computation. Rows come grouped by leaf, leaves in DFS order.
+        distance computation. The frontier holds ``(query, node)`` pairs,
+        so each level's tests are one NumPy call for all queries; every
+        distance is computed as in a walk for its query alone. Per query,
+        rows come grouped by leaf, leaves in DFS order; ``cc`` and
+        ``nodes_accessed`` grow by the sum over the queries.
         """
-        q = np.asarray(q, dtype=np.float64)
-        qp = _dists(self.pivots, q)
-        q_lo, q_hi = qp - r, qp + r
-        self.cc += len(self.pivots) + 1
-        d = _ro_dists(self.ro[:1], q)
-        inside = d <= self.radius[0] + r
-        frontier, dist = np.flatnonzero(inside), d[inside]
-        leaves = [np.empty(0, dtype=np.intp)]
-        while len(frontier):
-            self.nodes_accessed += len(frontier)
-            rings = _rings_touched(q_lo, q_hi, self.hr[frontier])
-            frontier, dist = frontier[rings], dist[rings]
-            n_ch = self.n_children[frontier]
-            leaves.append(frontier[n_ch == 0])
-            first = self.first_child[frontier]
+        Q = np.asarray(Q, dtype=np.float64)
+        r = np.asarray(r, dtype=np.float64)
+        at = _pair_rows(len(Q))
+        QPD = _pivot_dists(Q, self.pivots)
+        q_lo, q_hi = QPD - r[:, None], QPD + r[:, None]
+        self.cc += len(Q) * (len(self.pivots) + 1)
+        d = _ro_dists(Q, self.ro[0])
+        qid = np.flatnonzero(d <= self.radius[0] + r)
+        node, dist = np.zeros_like(qid), d[qid]
+        leaf_q, leaf_n = [qid[:0]], [qid[:0]]
+        while len(node):
+            self.nodes_accessed += len(node)
+            rings = _rings_touched(at(q_lo, qid), at(q_hi, qid),
+                                   self.hr.take(node, axis=0))
+            qid, node, dist = qid[rings], node[rings], dist[rings]
+            n_ch = self.n_children[node]
+            leaf = n_ch == 0
+            leaf_q.append(qid[leaf])
+            leaf_n.append(node[leaf])
+            first = self.first_child[node]
             child = _ranges(first, first + n_ch)
+            qid = qid.repeat(n_ch)
             # pruned for free via the triangle inequality
-            near = (np.abs(np.repeat(dist, n_ch) - self.pd[child])
-                    <= r + self.radius[child])
-            child = child[near]
+            near = (np.abs(dist.repeat(n_ch) - self.pd[child])
+                    <= at(r, qid) + self.radius[child])
+            qid, child = qid[near], child[near]
             self.cc += len(child)
-            d = _ro_dists(self.ro[child], q)
-            inside = d <= self.radius[child] + r
-            frontier, dist = child[inside], d[inside]
-        leaves = np.concatenate(leaves)
-        leaves = leaves[np.argsort(self.lo[leaves])]
-        idx = _ranges(self.lo[leaves], self.hi[leaves])
-        self.cc += len(idx)
-        d = _dists(self.points[idx], q)
-        keep = d <= r
-        return self.perm[idx[keep]], d[keep]
+            d = _ro_dists(self.ro.take(child, axis=0), at(Q, qid))
+            inside = d <= self.radius[child] + at(r, qid)
+            qid, node, dist = qid[inside], child[inside], d[inside]
+        hits = []
+        for i, idx in enumerate(self._leaf_points(len(Q), np.concatenate(leaf_q),
+                                                  np.concatenate(leaf_n))):
+            d = _dists(self.points[idx], Q[i])
+            keep = d <= r[i]
+            hits.append((self.perm[idx[keep]], d[keep]))
+        return hits
 
     # ---- test hook -------------------------------------------------------
     def check_invariants(self) -> None:

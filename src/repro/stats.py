@@ -11,11 +11,14 @@
   ``LID(q) = -( (1/k) * sum_i ln(r_i / r_k) )^-1`` from the k smallest
   distances, averaged over sampled queries.
 
-RC needs every distance from a query, so ``pairwise_distances_spark``
-fans the distance computation out with mapInPandas and the d=4096
-datasets do not serialize through the driver in one piece. LID needs only
-each query's nearest distances and takes them from the exact-kNN ground
-truth (``repro.baselines.exact``). HV's small viewpoint-to-reference
+RC needs every distance from a query, so the distance computation fans
+out with mapInPandas, and each Arrow batch returns per query only the
+sum, count and minimum of its distances, the query's own row left out:
+the driver reduces ``batches x queries`` rows, not ``n x queries``.
+``pairwise_distances_spark`` is the same fan-out returning every
+``(qid, id, dist)`` row. LID needs only each query's nearest distances
+and takes them from the exact-kNN ground truth
+(``repro.baselines.exact``). HV's small viewpoint-to-reference
 matrix is computed on the driver. All three use the same distance kernel
 (``repro.core.pmlsh._cross_dist``).
 """
@@ -38,6 +41,15 @@ __all__ = [
     "dataset_stats",
 ]
 
+def _dist_blocks(batches, Q: np.ndarray):
+    """Per non-empty Arrow batch of ``(id, vec)`` rows on an executor: its
+    ids and the ``(len(Q), batch)`` block of distances to the rows of ``Q``."""
+    skip_spark_archive_rereads()
+    for pdf in batches:
+        if len(pdf):
+            yield pdf["id"].to_numpy(), _cross_dist(Q, np.stack(pdf["vec"].to_numpy()))
+
+
 def pairwise_distances_spark(vectors: DataFrame, Q: np.ndarray) -> DataFrame:
     """Distances from every point in ``vectors`` to every row of ``Q``.
 
@@ -47,16 +59,12 @@ def pairwise_distances_spark(vectors: DataFrame, Q: np.ndarray) -> DataFrame:
     Qm = np.asarray(Q, dtype=np.float64)
 
     def _dist(batches):
-        skip_spark_archive_rereads()
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            D = _cross_dist(Qm, np.stack(pdf["vec"].to_numpy()))
+        for ids, D in _dist_blocks(batches, Qm):
             nq, nb = D.shape
             yield pd.DataFrame(
                 {
                     "qid": np.repeat(np.arange(nq, dtype=np.int64), nb),
-                    "id": np.tile(pdf["id"].to_numpy(), nq),
+                    "id": np.tile(ids, nq),
                     "dist": D.ravel(),
                 }
             )
@@ -95,13 +103,23 @@ def relative_contrast(vectors: DataFrame, *, n_query: int = 50,
     0, and would masquerade as the NN.
     """
     src_ids, Q = _sample_rows(vectors, n_query, seed)
-    dists = pairwise_distances_spark(vectors, Q).toPandas()
-    ratios = []
-    for qi, grp in dists.groupby("qid"):
-        grp = grp[grp["id"] != src_ids[int(qi)]]
-        if len(grp):
-            ratios.append(grp["dist"].mean() / max(grp["dist"].min(), 1e-300))
-    return float(np.mean(ratios))
+
+    def _sums(batches):
+        # per query, over this batch's rows other than its own: the sum,
+        # count and minimum of the distances
+        for ids, D in _dist_blocks(batches, Q):
+            other = ids[None, :] != src_ids[:, None]
+            yield pd.DataFrame({"qid": np.arange(len(Q), dtype=np.int64),
+                                "total": np.where(other, D, 0.0).sum(axis=1),
+                                "count": other.sum(axis=1),
+                                "nearest": np.where(other, D, np.inf).min(axis=1)})
+
+    schema = "qid long, total double, count long, nearest double"
+    agg = (vectors.mapInPandas(_sums, schema=schema).toPandas()
+           .groupby("qid").agg({"total": "sum", "count": "sum", "nearest": "min"}))
+    agg = agg[agg["count"] > 0]
+    ratios = agg["total"] / agg["count"] / np.maximum(agg["nearest"], 1e-300)
+    return float(np.mean(ratios.to_numpy()))
 
 
 def local_intrinsic_dimensionality(vectors: DataFrame, *, n_query: int = 50,

@@ -8,7 +8,8 @@ radii, every ``range_query`` answer (rows in order, distances), its
 radii are PM-LSH's first-round projected radius ``t * r_min`` for Table
 4's parameters (k=50, beta=0.2809, c=1.5) and 0.5x and 2x that. The file
 was generated once, before the tree was stored as flat arrays, and must
-never be regenerated to make a change pass.
+never be regenerated to make a change pass. One ``range_query_batch``
+over the 20 queries must give the same answers and the summed counters.
 
 Generating snippet::
 
@@ -118,6 +119,24 @@ def test_golden_range_query(case, tag, golden):
 
 
 @pytest.mark.parametrize("tag", SCALES)
+def test_golden_range_query_batch(case, tag, golden):
+    """One walk for all 20 queries gives each query's pinned answer, and the
+    counters grow by the pinned per-query sums."""
+    name, (_, QP, _, _, tree) = case
+    key = f"{name}_{tag}"
+    r = float(golden[f"{key}_radius"])
+    off = golden[f"{key}_offsets"]
+    tree.reset_counters()
+    hits = tree.range_query_batch(QP, np.full(len(QP), r))
+    assert len(hits) == len(QP)
+    for i, (rows, dists) in enumerate(hits):
+        np.testing.assert_array_equal(rows, golden[f"{key}_rows"][off[i]:off[i + 1]])
+        np.testing.assert_array_equal(dists, golden[f"{key}_dists"][off[i]:off[i + 1]])
+    assert tree.cc == golden[f"{key}_cc"].sum()
+    assert tree.nodes_accessed == golden[f"{key}_nodes"].sum()
+
+
+@pytest.mark.parametrize("tag", SCALES)
 def test_golden_cost_model(case, tag, golden):
     name, (_, _, _, F_proj, tree) = case
     key = f"{name}_{tag}"
@@ -142,6 +161,25 @@ def test_golden_rtree_range_query(rtree_case, tag, golden_rtree):
                                       golden_rtree[f"{key}_dists"][off[i]:off[i + 1]])
         assert tree.cc == golden_rtree[f"{key}_cc"][i]
         assert tree.nodes_accessed == golden_rtree[f"{key}_nodes"][i]
+
+
+@pytest.mark.parametrize("tag", SCALES)
+def test_golden_rtree_range_query_batch(rtree_case, tag, golden_rtree):
+    name, QP, tree, _ = rtree_case
+    key = f"{name}_{tag}"
+    r = float(golden_rtree[f"{key}_radius"])
+    off = golden_rtree[f"{key}_offsets"]
+    tree.reset_counters()
+    hits = tree.range_query_batch(QP, np.full(len(QP), r))
+    assert len(hits) == len(QP)
+    for i, (rows, dists) in enumerate(hits):
+        order = np.argsort(rows)
+        np.testing.assert_array_equal(rows[order],
+                                      golden_rtree[f"{key}_rows"][off[i]:off[i + 1]])
+        np.testing.assert_array_equal(dists[order],
+                                      golden_rtree[f"{key}_dists"][off[i]:off[i + 1]])
+    assert tree.cc == golden_rtree[f"{key}_cc"].sum()
+    assert tree.nodes_accessed == golden_rtree[f"{key}_nodes"].sum()
 
 
 @pytest.mark.parametrize("tag", SCALES)

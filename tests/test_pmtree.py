@@ -119,6 +119,47 @@ def test_rejects_non_matrix_input():
         PMTree(np.ones(5))
 
 
+def batch_walk_cases(X):
+    """``(Q, r)`` batches over the points ``X``: per-query radii including 0
+    and one above the data's diameter, a query with no result, duplicate
+    query rows, and zero queries."""
+    far = np.full(X.shape[1], 1e3)
+    diameter = 2 * np.linalg.norm(X - X.mean(axis=0), axis=1).max()
+    Q = np.stack([X[17], X[17], X[3] + 0.1, far, X[5], X[5], X[40] - 0.2])
+    r = np.array([0.0, 2.0, 1.5, 1.0, diameter * 1.01, 0.7, 3.0])
+    return [(Q, r), (Q[::-1], r[::-1]), (Q[:1], r[:1]), (Q[3:4], r[3:4]),
+            (Q[:0], r[:0])]
+
+
+def assert_batch_is_loop(tree, Q, r):
+    """``range_query_batch`` equals a loop of one-query calls: rows in the
+    same order, bit-identical distances, summed counters."""
+    tree.reset_counters()
+    want = [tree.range_query(q, rq) for q, rq in zip(Q, r)]
+    counters = tree.cc, tree.nodes_accessed
+    tree.reset_counters()
+    got = tree.range_query_batch(Q, r)
+    assert len(got) == len(want)
+    for (rows, dists), (want_rows, want_dists) in zip(got, want):
+        assert rows.dtype == want_rows.dtype and dists.dtype == want_dists.dtype
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(dists, want_dists)
+    assert (tree.cc, tree.nodes_accessed) == counters
+    return got
+
+
+@pytest.mark.parametrize("s", [5, 0])
+def test_range_query_batch_is_a_loop_of_single_queries(tree_and_data, s):
+    _, X = tree_and_data
+    tree = PMTree(X, n_pivots=s, capacity=16, seed=0)
+    for Q, r in batch_walk_cases(X):
+        got = assert_batch_is_loop(tree, Q, r)
+        for q, rq, (rows, _) in zip(Q, r, got):
+            assert set(rows.tolist()) == brute_range(X, q, rq)
+    got = tree.range_query_batch(*batch_walk_cases(X)[0])
+    assert len(got[3][0]) == 0 and len(got[4][0]) == len(X)
+
+
 def test_nodes_enumeration_covers_all_leaf_entries(tree_and_data):
     tree, X = tree_and_data
     leaf_total = tree.entries[tree.n_children == 0].sum()

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.rtree import RTree
+from tests.test_pmtree import assert_batch_is_loop, batch_walk_cases
 
 
 def brute_range(X, q, r):
@@ -69,6 +70,16 @@ def test_singleton_and_duplicates():
 def test_rejects_non_matrix_input():
     with pytest.raises(ValueError):
         RTree(np.ones(5))
+
+
+def test_range_query_batch_is_a_loop_of_single_queries(tree_and_data):
+    tree, X = tree_and_data
+    for Q, r in batch_walk_cases(X):
+        got = assert_batch_is_loop(tree, Q, r)
+        for q, rq, (rows, _) in zip(Q, r, got):
+            assert set(rows.tolist()) == brute_range(X, q, rq)
+    got = tree.range_query_batch(*batch_walk_cases(X)[0])
+    assert len(got[3][0]) == 0 and len(got[4][0]) == len(X)
 
 
 @given(
